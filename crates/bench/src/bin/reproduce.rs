@@ -675,7 +675,7 @@ fn fig12(opts: &Opts) {
 
 fn ablation_pack(opts: &Opts) {
     let mut series_map: Vec<(PackPolicy, &str, Vec<f64>)> = vec![
-        (PackPolicy::Auto, "Auto (paper)", Vec::new()),
+        (PackPolicy::Auto, "Auto (in place)", Vec::new()),
         (PackPolicy::Always, "Always pack", Vec::new()),
         (PackPolicy::Never, "Never pack", Vec::new()),
     ];
@@ -1754,8 +1754,8 @@ fn trace_gemm_point<E: CompactElement>(
     }
 }
 
-/// TRSM point for the roofline: LNUN so panel packing reverses rows and
-/// the Scale/Unpack phases run. The solve happens in place (A is
+/// TRSM point for the roofline: LNUN, a reversed mode — solved in place
+/// from the stored last row downwards. The solve happens in place (A is
 /// diagonally dominant, so repeated solves decay toward zero without
 /// overflow) — restoring B between reps would pollute the counted cache
 /// traffic with the restore copy. Predicted traffic: read A, read+write B.
@@ -1800,9 +1800,11 @@ fn trace_trsm_point(
 }
 
 /// Runs the flight recorder + PMU roofline reproduction: a workload set
-/// chosen so every span kind records at least once (n=16 GEMM packs both
-/// operands and super-blocks; LNUN TRSM scales and unpacks; a first-touch
-/// tune sweeps), executed under a `perf_event` counter group when the
+/// chosen so every span kind records at least once (n=16 GEMM
+/// super-blocks; one fully packed GEMM and LNUN TRSM — `PackPolicy::Always`
+/// — pack both operands, scale and unpack, which the default in-place
+/// plans of the roofline points do not; a first-touch tune sweeps),
+/// executed under a `perf_event` counter group when the
 /// host grants one. Always writes the Chrome `trace_event` document to
 /// `target/trace_reproduce.json`; `--json` prints the `BENCH_5.json`
 /// document, text mode prints the span summary and the roofline table.
@@ -1835,6 +1837,28 @@ fn trace_bench(opts: &Opts) {
         trace_gemm_point::<f64>(16, count, reps, &mut pmu, &mut sink),
         trace_trsm_point(12, count, reps, &mut pmu, &mut sink),
     ];
+
+    // The roofline points run the default plans, which stream their
+    // operands in place; one execute of each op on the fully packed
+    // reference path keeps pack_a/pack_b/scale/unpack spans in the record.
+    {
+        use iatf_layout::{GemmDims, TrsmDims};
+        let packed = TuningConfig {
+            pack: PackPolicy::Always,
+            ..TuningConfig::default()
+        };
+        let g = gemm_workload::<f64>(16, GemmMode::NN, count, 11);
+        let mut c = g.c_c.clone();
+        iatf_core::GemmPlan::<f64>::new(GemmDims::square(16), GemmMode::NN, false, false, count, &packed)
+            .and_then(|plan| plan.execute(1.0, &g.a_c, &g.b_c, 1.0, &mut c))
+            .expect("packed GEMM reference executes");
+        let t = trsm_workload::<f64>(12, TrsmMode::LNUN, count, 13);
+        let mut b = t.b_c.clone();
+        iatf_core::TrsmPlan::<f64>::new(TrsmDims::square(12), TrsmMode::LNUN, false, count, &packed)
+            .and_then(|plan| plan.execute(1.0, &t.a_c, &mut b))
+            .expect("packed TRSM reference executes");
+    }
+    sink.drain();
 
     // One fresh first-touch tune so the recorder also carries a
     // tune_sweep span (the db is cleared so the sweep cannot be skipped).

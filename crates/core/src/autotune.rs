@@ -27,7 +27,7 @@
 //! into itself.
 
 use std::cell::RefCell;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::config::{BatchPolicy, PackPolicy, PlanCachePolicy, TunePolicy, TuningConfig};
 use crate::elem::CompactElement;
@@ -227,6 +227,28 @@ fn measure_count(bytes_per_matrix: usize, count: usize) -> usize {
     count
         .min((MEASURE_CAP_BYTES / bytes_per_matrix.max(1)).max(MEASURE_MIN_COUNT))
         .max(1)
+}
+
+/// The wall-clock allowance of one first-touch (or retune) sweep, started
+/// before the candidates are built: plan construction and the synthetic
+/// operands are part of what the caller's first call pays, so they are
+/// charged to the budget and the timed rounds get what is left.
+struct SweepBudget {
+    started: Instant,
+    total: Duration,
+}
+
+impl SweepBudget {
+    fn start(budget_ms: u64) -> Self {
+        Self {
+            started: Instant::now(),
+            total: Duration::from_millis(budget_ms.max(1)),
+        }
+    }
+
+    fn left(&self) -> Duration {
+        self.total.saturating_sub(self.started.elapsed())
+    }
 }
 
 /// What a sweep's plan builder returns: the candidate plan, a dedupe
@@ -512,6 +534,7 @@ fn sweep_gemm<E: CompactElement>(
 ) {
     obs::count_tune(obs::TuneEvent::Sweep);
     let _trace = trace::span_arg(trace::SpanKind::TuneSweep, count as u64);
+    let budget = SweepBudget::start(budget_ms);
     let scalar = core::mem::size_of::<E>();
     let per_matrix = (dims.m * dims.k + dims.k * dims.n + dims.m * dims.n) * scalar;
     let mcount = measure_count(per_matrix, count);
@@ -546,7 +569,7 @@ fn sweep_gemm<E: CompactElement>(
                 }) as Box<dyn FnMut() + '_>
             })
             .collect();
-        sweep(Duration::from_millis(budget_ms.max(1)), &mut runners)
+        sweep(budget.left(), &mut runners)
     };
     let winner = &cands[report.winner];
     #[cfg(not(feature = "parallel"))]
@@ -645,13 +668,14 @@ macro_rules! triangular_tuner {
         ) {
             obs::count_tune(obs::TuneEvent::Sweep);
             let _trace = trace::span_arg(trace::SpanKind::TuneSweep, count as u64);
+            let budget = SweepBudget::start(budget_ms);
             let q = dims.triangle_order(mode);
             let scalar = core::mem::size_of::<E>();
             let per_matrix = (q * q + dims.m * dims.n) * scalar;
             let mcount = measure_count(per_matrix, count);
             let cands = enumerate_candidates(cfg, &|c: &TuningConfig| {
                 $plan::<E>::new(dims, mode, conj, mcount, c).ok().map(|p| {
-                    let sig = (p.pack_b_structural, p.group_packs);
+                    let sig = (p.a_plan, p.b_plan, p.group_packs);
                     let gp = p.group_packs;
                     (p, sig, gp)
                 })
@@ -689,7 +713,7 @@ macro_rules! triangular_tuner {
                         }) as Box<dyn FnMut() + '_>
                     })
                     .collect();
-                sweep(Duration::from_millis(budget_ms.max(1)), &mut runners)
+                sweep(budget.left(), &mut runners)
             };
             let winner = &cands[report.winner];
             #[cfg(not(feature = "parallel"))]

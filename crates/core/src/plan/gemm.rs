@@ -9,7 +9,7 @@ use iatf_simd::VecWidth;
 use iatf_obs as obs;
 use iatf_pack::gemm as pk;
 use iatf_trace as trace;
-use iatf_pack::{arena, PackBuffer};
+use iatf_pack::{arena, ArenaLease, PackBuffer};
 use std::sync::OnceLock;
 
 /// How one GEMM operand is accessed (Pack Selecter output).
@@ -17,7 +17,7 @@ use std::sync::OnceLock;
 pub enum OperandPlan {
     /// Gather into a unit-stride panel before computing.
     Packed,
-    /// Stream directly from the compact layout (no-pack, §4.4).
+    /// Stream in place from the compact layout (no-pack, §4.4).
     Direct,
 }
 
@@ -81,16 +81,22 @@ impl<E: CompactElement> GemmPlan<E> {
         // static Pack Selecter / Batch Counter outputs below.
         let tuned = autotune::lookup_gemm::<E>(dims, mode, conj_a, conj_b, count, cfg);
 
-        // Pack Selecter (§5.2): pack only when the kernel cannot stream the
-        // operand — more than one tile row/column — or when conjugation must
-        // happen during a copy. Policy overrides support the ablations.
-        let pack_policy = tuned.and_then(|t| t.pack).unwrap_or(cfg.pack);
-        let a_plan = decide(pack_policy, conj_a, dims.m > E::MR);
-        let b_plan = decide(pack_policy, conj_b, dims.n > E::NR);
-
         let a_panel_len = pk::panel_a_len::<E>(p, dims.m, dims.k);
         let b_panel_len = pk::panel_b_len::<E>(p, dims.k, dims.n);
         let scalar_bytes = core::mem::size_of::<E::Real>();
+
+        // Pack Selecter (§5.2): the kernels take the compact layout's native
+        // strides, so an operand is streamed in place while one pack of it
+        // fits the L2 bound; above that the paper's rule packs whatever
+        // spans more than one tile row/column. Conjugation must happen
+        // during a copy. Policy overrides support the ablations.
+        let pack_policy = tuned.and_then(|t| t.pack).unwrap_or(cfg.pack);
+        let limit = cfg.direct_limit_bytes();
+        let a_spills = a_panel_len * scalar_bytes > limit && dims.m > E::MR;
+        let b_spills = b_panel_len * scalar_bytes > limit && dims.n > E::NR;
+        let a_plan = decide(pack_policy, conj_a && E::IS_COMPLEX, a_spills);
+        let b_plan = decide(pack_policy, conj_b && E::IS_COMPLEX, b_spills);
+
         // Batch Counter: packed A and B panels (or their directly-streamed
         // sources, same footprint) plus the C pack must cycle through L1.
         let bytes_per_pack =
@@ -179,8 +185,10 @@ impl<E: CompactElement> GemmPlan<E> {
 
     /// Executes the plan: `C = α·op(A)·op(B) + β·C`.
     ///
-    /// Scratch comes from the thread-local [`arena`], so repeated executes
-    /// are allocation-free after the first call on a thread.
+    /// Scratch, when an operand is packed, comes from the thread-local
+    /// [`arena`], so repeated executes are allocation-free after the first
+    /// call on a thread; with both operands streamed in place there is no
+    /// scratch and no lease is taken.
     pub fn execute(
         &self,
         alpha: E,
@@ -192,14 +200,28 @@ impl<E: CompactElement> GemmPlan<E> {
         self.validate(a, b, c)?;
         obs::count_execute(obs::Op::Gemm);
         let _trace = trace::span_arg(trace::SpanKind::Execute, self.packs as u64);
-        let mut lease = arena::lease::<E::Real>();
+        let (mut lease, mut unused) = self.scratch();
         let gp = self.group_packs;
         let ps = c.pack_stride();
         for (sb_idx, c_chunk) in c.as_scalars_mut().chunks_mut(ps * gp).enumerate() {
             let sb_packs = c_chunk.len() / ps;
-            self.run_superblock(alpha, a, b, beta, c_chunk, ps, sb_idx * gp, sb_packs, lease.buffer());
+            let buf = lease.as_mut().map_or(&mut unused, |l| l.buffer());
+            self.run_superblock(alpha, a, b, beta, c_chunk, ps, sb_idx * gp, sb_packs, buf);
         }
         Ok(())
+    }
+
+    /// Whether any operand is packed (and `execute` therefore needs
+    /// scratch).
+    fn needs_scratch(&self) -> bool {
+        self.a_plan == OperandPlan::Packed || self.b_plan == OperandPlan::Packed
+    }
+
+    /// One executor's scratch: an arena lease when something is packed;
+    /// otherwise no lease and an empty stand-in buffer (no allocation, no
+    /// pool traffic) for the zero-length panel slots.
+    fn scratch(&self) -> (Option<ArenaLease<E::Real>>, PackBuffer<E::Real>) {
+        (self.needs_scratch().then(arena::lease), PackBuffer::new())
     }
 
     /// Scalar lengths of the packed A and B panels (0 when streamed).
@@ -413,20 +435,14 @@ impl<E: CompactElement> GemmPlan<E> {
         c.as_scalars_mut()
             .par_chunks_mut(ps * gp)
             .enumerate()
-            .for_each_init(arena::lease::<E::Real>, |lease, (sb_idx, c_chunk)| {
-                let sb_packs = c_chunk.len() / ps;
-                self.run_superblock(
-                    alpha,
-                    a,
-                    b,
-                    beta,
-                    c_chunk,
-                    ps,
-                    sb_idx * gp,
-                    sb_packs,
-                    lease.buffer(),
-                );
-            });
+            .for_each_init(
+                || self.scratch(),
+                |(lease, unused), (sb_idx, c_chunk)| {
+                    let sb_packs = c_chunk.len() / ps;
+                    let buf = lease.as_mut().map_or(unused, |l| l.buffer());
+                    self.run_superblock(alpha, a, b, beta, c_chunk, ps, sb_idx * gp, sb_packs, buf);
+                },
+            );
         Ok(())
     }
 
@@ -517,23 +533,18 @@ impl<E: CompactElement> GemmPlan<E> {
 }
 
 
-fn decide(policy: PackPolicy, conj: bool, needs_pack: bool) -> OperandPlan {
-    match policy {
-        PackPolicy::Always => OperandPlan::Packed,
-        PackPolicy::Never => {
-            if conj {
-                OperandPlan::Packed
-            } else {
-                OperandPlan::Direct
-            }
-        }
-        PackPolicy::Auto => {
-            if conj || needs_pack {
-                OperandPlan::Packed
-            } else {
-                OperandPlan::Direct
-            }
-        }
+/// `spills`: one pack of the operand exceeds the in-place bound *and* spans
+/// more than one tile row/column (the paper's rule).
+fn decide(policy: PackPolicy, conj: bool, spills: bool) -> OperandPlan {
+    let pack = match policy {
+        PackPolicy::Always => true,
+        PackPolicy::Never => conj,
+        PackPolicy::Auto => conj || spills,
+    };
+    if pack {
+        OperandPlan::Packed
+    } else {
+        OperandPlan::Direct
     }
 }
 
@@ -574,30 +585,48 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pack_selection_follows_paper_rule() {
-        let cfg = TuningConfig::default();
-        // M ≤ m_r and N ≤ n_r: both direct.
-        let p = GemmPlan::<f64>::new(GemmDims::new(4, 4, 9), GemmMode::NN, false, false, 10, &cfg)
-            .unwrap();
-        assert_eq!(p.a_plan, OperandPlan::Direct);
-        assert_eq!(p.b_plan, OperandPlan::Direct);
-        // M > m_r forces A packing.
-        let p = GemmPlan::<f64>::new(GemmDims::new(5, 4, 9), GemmMode::NN, false, false, 10, &cfg)
-            .unwrap();
-        assert_eq!(p.a_plan, OperandPlan::Packed);
-        assert_eq!(p.b_plan, OperandPlan::Direct);
+    fn pack_selection_streams_what_fits_and_packs_what_spills() {
+        // Pinned to W128 so a group is 16 B (f64) / 32 B (c32) on any host.
+        let cfg = TuningConfig {
+            width: VecWidth::W128,
+            ..TuningConfig::default()
+        };
+        let plans = |cfg: &TuningConfig, m, n, k| {
+            let p =
+                GemmPlan::<f64>::new(GemmDims::new(m, n, k), GemmMode::NN, false, false, 10, cfg)
+                    .unwrap();
+            (p.a_plan, p.b_plan, p.needs_scratch())
+        };
+        use OperandPlan::{Direct, Packed};
+        // Inside the L2 bound everything streams, one tile or many, and no
+        // scratch is leased.
+        assert_eq!(plans(&cfg, 4, 4, 9), (Direct, Direct, false));
+        assert_eq!(plans(&cfg, 5, 4, 9), (Direct, Direct, false));
+        assert_eq!(plans(&cfg, 33, 17, 9), (Direct, Direct, false));
+        // Above it the paper's rule decides: more than one tile row /
+        // column packs, a single sliver still streams. Half of a 4 KiB
+        // "L2" is 128 f64 groups; a 9×64 A is 576.
+        let tiny = TuningConfig {
+            l2_bytes: 4096,
+            ..cfg.clone()
+        };
+        assert_eq!(plans(&tiny, 9, 4, 64), (Packed, Direct, true));
+        assert_eq!(plans(&tiny, 4, 9, 64), (Direct, Packed, true));
+        assert_eq!(plans(&tiny, 9, 9, 64), (Packed, Packed, true));
+        // ... but an operand that still fits is left alone: 9×1 A, 1×9 B
+        assert_eq!(plans(&tiny, 9, 9, 1), (Direct, Direct, false));
         // complex kernels are 3×2
         let p = GemmPlan::<iatf_simd::c32>::new(
-            GemmDims::new(3, 3, 3),
+            GemmDims::new(3, 3, 64),
             GemmMode::NN,
             false,
             false,
             4,
-            &cfg,
+            &tiny,
         )
         .unwrap();
-        assert_eq!(p.a_plan, OperandPlan::Direct);
-        assert_eq!(p.b_plan, OperandPlan::Packed); // 3 > NR = 2
+        assert_eq!(p.a_plan, Direct);
+        assert_eq!(p.b_plan, Packed); // 3 > NR = 2
     }
 
     #[test]

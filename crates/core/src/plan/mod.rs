@@ -5,7 +5,8 @@
 //! 1. **Batch Counter** ([`group_packs`]) — how many packs of `P` matrices
 //!    are packed and computed per super-block, sized to the L1 budget.
 //! 2. **Pack Selecter** — whether each operand is packed or streamed
-//!    directly (the no-pack strategy), folded into the plan structs.
+//!    in place (the no-pack strategy, the default wherever the kernels can
+//!    address the source), folded into the plan structs.
 //! 3. **Execution Plan Generator** — the tile/panel decomposition, kernel
 //!    selection, and the command queue binding everything together.
 //!
@@ -16,6 +17,7 @@
 pub mod cache;
 pub(crate) mod explain;
 pub mod gemm;
+pub(crate) mod tri;
 pub mod trmm;
 pub mod trsm;
 

@@ -9,8 +9,10 @@
 //! processed **bottom-up** (TRSM solves top-down).
 
 use crate::autotune;
-use crate::config::{PackPolicy, TuningConfig};
+use crate::config::TuningConfig;
 use crate::elem::CompactElement;
+use crate::plan::gemm::OperandPlan;
+use crate::plan::tri::TriOperands;
 use crate::plan::{explain as ex, group_packs, tiles};
 use iatf_layout::{CompactBatch, LayoutError, TrsmDims, TrsmMode};
 use iatf_simd::VecWidth;
@@ -33,11 +35,17 @@ pub struct TrmmPlan<E: CompactElement> {
     packs: usize,
     /// Packs per super-block (Batch Counter output).
     pub group_packs: usize,
-    /// True when B panels must be gathered (mode not canonical on B).
+    /// True under `PackPolicy::Always` or when the canonical mapping is not
+    /// the identity on B — see [`TrsmPlan::pack_b_structural`](super::TrsmPlan);
+    /// what this plan does is [`Self::b_plan`].
     pub pack_b_structural: bool,
+    /// A access decision: `Direct` reads the rectangular strips in place
+    /// and packs only the diagonal blocks' triangles.
+    pub a_plan: OperandPlan,
+    /// B access decision: `Direct` multiplies B in place, in every mode.
+    pub b_plan: OperandPlan,
     blocks: Vec<(usize, usize)>,
-    a_blocks: Vec<pk::ABlockLayout>,
-    a_len: usize,
+    ops: TriOperands,
     panels: Vec<(usize, usize)>,
     /// Kernel handles resolved at build time, one per `(panel, block)`
     /// grid cell (row-major over `panels × blocks`), so the multiply loop
@@ -69,20 +77,16 @@ impl<E: CompactElement> TrmmPlan<E> {
         // TRMM has no register-capacity special case to exploit beyond the
         // block kernel size: block uniformly by the kernel height.
         let blocks = pk::block_decomposition(map.t, E::TRSM_TB, E::TRSM_TB);
-        let (a_blocks, a_len) = pk::a_layout::<E>(p, &blocks);
         let panels = tiles(map.bn, E::TRSM_NR);
         // A tuned entry (when the policy consults the db) overrides the
         // static Pack Selecter / Batch Counter outputs below.
         let tuned = autotune::lookup_trmm::<E>(dims, mode, conj, count, cfg);
-        let identity_b = !map.reversed && !map.side_right;
         let pack_policy = tuned.and_then(|t| t.pack).unwrap_or(cfg.pack);
-        let pack_b_structural = match pack_policy {
-            PackPolicy::Always => true,
-            PackPolicy::Never | PackPolicy::Auto => !identity_b,
-        };
+        let ops = TriOperands::select::<E>(pack_policy, &map, p, &blocks, &panels);
         let g = p * E::SCALARS;
         let scalar_bytes = core::mem::size_of::<E::Real>();
-        let bytes_per_pack = (a_len + map.t * map.bn * g) * scalar_bytes;
+        // same footprint whether the triangle is packed or read in place
+        let bytes_per_pack = (map.t * (map.t + 1) / 2 + map.t * map.bn) * g * scalar_bytes;
         let packs = count.div_ceil(p);
         let gp = match tuned.and_then(|t| t.group_packs) {
             Some(tuned_gp) => tuned_gp.clamp(1, packs.max(1)),
@@ -106,10 +110,11 @@ impl<E: CompactElement> TrmmPlan<E> {
             p,
             packs,
             group_packs: gp,
-            pack_b_structural,
+            pack_b_structural: ops.pack_b_structural,
+            a_plan: ops.a_plan,
+            b_plan: ops.b_plan,
             blocks,
-            a_blocks,
-            a_len,
+            ops,
             panels,
             block_kernels,
             use_parallel: tuned.is_some_and(|t| t.parallel),
@@ -178,18 +183,6 @@ impl<E: CompactElement> TrmmPlan<E> {
         Ok(())
     }
 
-    /// Panel scratch capacity (0 when streaming B in place).
-    fn panel_cap(&self) -> usize {
-        if !self.pack_b_structural {
-            return 0;
-        }
-        self.panels
-            .iter()
-            .map(|&(_, w)| pk::panel_b_len::<E>(self.p, self.map.t, w))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Executes the plan: B is overwritten with `α·op(A)·B` (left) or
     /// `α·B·op(A)` (right).
     ///
@@ -204,20 +197,16 @@ impl<E: CompactElement> TrmmPlan<E> {
         self.validate(a, b)?;
         obs::count_execute(obs::Op::Trmm);
         let _trace = trace::span_arg(trace::SpanKind::Execute, self.packs as u64);
-        let panel_cap = self.panel_cap();
         let mut lease = arena::lease::<E::Real>();
-        let b_rows = b.rows();
         let bps = b.pack_stride();
         let gp = self.group_packs;
         for (sb_idx, b_chunk) in b.as_scalars_mut().chunks_mut(bps * gp).enumerate() {
             let sb_packs = b_chunk.len() / bps;
             self.run_superblock(
                 alpha,
-                panel_cap,
                 a,
                 b_chunk,
                 bps,
-                b_rows,
                 sb_idx * gp,
                 sb_packs,
                 lease.buffer(),
@@ -234,61 +223,63 @@ impl<E: CompactElement> TrmmPlan<E> {
     fn run_superblock(
         &self,
         alpha: E,
-        panel_cap: usize,
         a: &CompactBatch<E>,
         b_chunk: &mut [E::Real],
         bps: usize,
-        b_rows: usize,
         sb: usize,
         sb_packs: usize,
         buf: &mut PackBuffer<E::Real>,
     ) {
         obs::count_superblock(obs::Op::Trmm, sb_packs);
         let _trace = trace::span_arg(trace::SpanKind::Superblock, sb_packs as u64);
-        let a_rows = a.rows();
-        let (buf_a, buf_panel) = buf.split_two(self.a_len * sb_packs, panel_cap);
+        let a_len = self.ops.a_len;
+        let (buf_a, buf_panel) = buf.split_two(a_len * sb_packs, self.ops.panel_cap);
         for slot in 0..sb_packs {
             let _span = obs::phase(obs::Phase::PackA);
             let _trace = trace::span_arg(trace::SpanKind::PackA, (sb + slot) as u64);
             let pack = sb + slot;
             let live = self.p.min(self.count - pack * self.p);
             // direct (non-reciprocal) diagonal for the multiply
-            pk::pack_a_tri::<E>(
-                &mut buf_a[slot * self.a_len..(slot + 1) * self.a_len],
+            self.ops.pack_a::<E>(
+                &mut buf_a[slot * a_len..(slot + 1) * a_len],
                 a.pack_slice(pack),
-                a_rows,
                 self.p,
                 &self.map,
-                &self.a_blocks,
                 live,
                 false,
             );
-            obs::count_packed_bytes_a(self.a_len * core::mem::size_of::<E::Real>());
+            obs::count_packed_bytes_a(a_len * core::mem::size_of::<E::Real>());
         }
         for slot in 0..sb_packs {
-            let ab = &buf_a[slot * self.a_len..(slot + 1) * self.a_len];
+            let ab = &buf_a[slot * a_len..(slot + 1) * a_len];
             let b_pack = &mut b_chunk[slot * bps..(slot + 1) * bps];
-            self.multiply_pack(alpha, ab, buf_panel, b_pack, b_rows);
+            self.multiply_pack(alpha, ab, a.pack_slice(sb + slot), buf_panel, b_pack);
         }
     }
 
-    /// Multiplies one pack's B in place, given its packed A strips.
+    /// Multiplies one pack's B in place, given its packed A data `ab` and
+    /// its stored A pack `a_pack`.
     fn multiply_pack(
         &self,
         alpha: E,
         ab: &[E::Real],
+        a_pack: &[E::Real],
         buf_panel: &mut [E::Real],
         b_pack: &mut [E::Real],
-        b_rows: usize,
     ) {
-        let g = self.p * E::SCALARS;
-        let pack_b = self.pack_b_structural;
-        let block_count = self.a_blocks.len();
-        for (pi, &(j0, w)) in self.panels.iter().enumerate() {
-            let (panel_ptr, row_stride, col_stride) = if pack_b {
+        let b_rows = self.dims.m;
+        let pack_b = self.b_plan == OperandPlan::Packed;
+        // rectangular strips come out of the packed buffer or the stored A
+        let rect_src = match self.a_plan {
+            OperandPlan::Packed => ab,
+            OperandPlan::Direct => a_pack,
+        };
+        let block_count = self.blocks.len();
+        for (pi, (&(j0, w), at)) in self.panels.iter().zip(&self.ops.panel).enumerate() {
+            let len = pk::panel_b_len::<E>(self.p, self.map.t, w);
+            let panel_src = if pack_b {
                 let _span = obs::phase(obs::Phase::Scale);
                 let _trace = trace::span_arg(trace::SpanKind::Scale, j0 as u64);
-                let len = pk::panel_b_len::<E>(self.p, self.map.t, w);
                 pk::pack_b_panel::<E>(
                     &mut buf_panel[..len],
                     b_pack,
@@ -300,40 +291,39 @@ impl<E: CompactElement> TrmmPlan<E> {
                     E::one(),
                 );
                 obs::count_packed_bytes_b(len * core::mem::size_of::<E::Real>());
-                (buf_panel.as_mut_ptr(), w * g, g)
+                &mut *buf_panel
             } else {
-                // SAFETY: `j0` is a validated column-tile origin, so the offset stays inside the `b_rows`-column panel.
-                let ptr = unsafe { b_pack.as_mut_ptr().add(j0 * b_rows * g) };
-                (ptr, g, b_rows * g)
+                &mut *b_pack
             };
+            // SAFETY: `at.base` is the panel's canonical (0, 0) inside `panel_src` — checked against its length, with the whole `t × w` extent, by `TriOperands::addresses_in_bounds` at plan build.
+            let panel_ptr = unsafe { panel_src.as_mut_ptr().add(at.base) };
             {
                 let _span = obs::phase(obs::Phase::Compute);
                 let _trace = trace::span_arg(trace::SpanKind::Compute, j0 as u64);
                 // bottom-up over diagonal blocks: rows above any
                 // block stay original until that block consumes them
-                for (bi, blk) in self.a_blocks.iter().enumerate().rev() {
+                let grid = self.ops.a_blocks.iter().zip(&self.ops.rect).enumerate();
+                for (bi, (blk, rect)) in grid.rev() {
                     obs::count_dispatch(
                         obs::Op::Trmm,
                         blk.mb,
                         w,
                         blk.mb == E::TRSM_TB && w == E::TRSM_NR,
                     );
-                    // Safety: identical operand coverage to the TRSM
-                    // path, validated above; the handle was resolved for
-                    // this (block, panel) shape at build time.
+                    // SAFETY: identical operand coverage to the TRSM path — panel rows 0..t × w columns at `at`'s signed strides, the rect strip at `rect`'s, both inside their source slices (`TriOperands::addresses_in_bounds`), the block's packed triangle at `tri_off` inside `ab`; the handle was resolved for this (block, panel) shape at build time.
                     unsafe {
                         E::trmm_kernel(
                             self.block_kernels[pi * block_count + bi],
                             blk.r0,
                             alpha,
-                            ab.as_ptr().add(blk.rect_off),
-                            g,
-                            blk.mb * g,
+                            rect_src.as_ptr().add(rect.base),
+                            rect.row_stride(),
+                            rect.col_stride(),
                             ab.as_ptr().add(blk.tri_off),
                             panel_ptr,
                             blk.r0,
-                            row_stride,
-                            col_stride,
+                            at.row_stride(),
+                            at.col_stride(),
                         );
                     }
                 }
@@ -341,7 +331,6 @@ impl<E: CompactElement> TrmmPlan<E> {
             if pack_b {
                 let _span = obs::phase(obs::Phase::Unpack);
                 let _trace = trace::span_arg(trace::SpanKind::Unpack, j0 as u64);
-                let len = pk::panel_b_len::<E>(self.p, self.map.t, w);
                 pk::unpack_b_panel::<E>(
                     &buf_panel[..len],
                     b_pack,
@@ -372,9 +361,7 @@ impl<E: CompactElement> TrmmPlan<E> {
         self.validate(a, b)?;
         obs::count_execute(obs::Op::Trmm);
         let _trace = trace::span_arg(trace::SpanKind::Execute, self.packs as u64);
-        let panel_cap = self.panel_cap();
         let gp = self.group_packs;
-        let b_rows = b.rows();
         let bps = b.pack_stride();
         b.as_scalars_mut()
             .par_chunks_mut(bps * gp)
@@ -383,11 +370,9 @@ impl<E: CompactElement> TrmmPlan<E> {
                 let sb_packs = b_chunk.len() / bps;
                 self.run_superblock(
                     alpha,
-                    panel_cap,
                     a,
                     b_chunk,
                     bps,
-                    b_rows,
                     sb_idx * gp,
                     sb_packs,
                     lease.buffer(),
@@ -412,14 +397,7 @@ impl<E: CompactElement> TrmmPlan<E> {
         let t = self.map.t;
         // triangular multiply: t(t+1)/2 MACs per B column
         let macs = (t * (t + 1) / 2 * self.map.bn * self.count) as u64;
-        let panel_bytes: usize = if self.pack_b_structural {
-            self.panels
-                .iter()
-                .map(|&(_, w)| pk::panel_b_len::<E>(self.p, t, w))
-                .sum()
-        } else {
-            0
-        };
+        let packed_scalars = self.ops.packed_scalars::<E>(self.p, t, &self.panels);
         obs::PlanExplain {
             op: "trmm".into(),
             dtype: E::DTYPE.to_string(),
@@ -435,16 +413,10 @@ impl<E: CompactElement> TrmmPlan<E> {
             group_packs: self.group_packs,
             main_kernel: main,
             main_area_fraction: ex::main_area_fraction(&classes, t * self.map.bn),
-            pack_a: "packed".into(),
-            pack_b: if self.pack_b_structural {
-                "packed"
-            } else {
-                "direct"
-            }
-            .into(),
+            pack_a: self.ops.pack_a_str().into(),
+            pack_b: self.ops.pack_b_str().into(),
             predicted_flops: E::DTYPE.flops_per_mac() as u64 * macs,
-            predicted_packed_bytes: ((self.a_len + panel_bytes) * self.packs) as u64
-                * scalar_bytes,
+            predicted_packed_bytes: (packed_scalars * self.packs) as u64 * scalar_bytes,
             predicted_dispatches: (self.blocks.len() * self.panels.len() * self.packs) as u64,
             kernels: Vec::new(),
             // No install-time kernel is dispatched, so there is nothing to

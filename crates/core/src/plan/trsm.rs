@@ -1,8 +1,10 @@
 //! TRSM execution plans.
 
 use crate::autotune;
-use crate::config::{PackPolicy, TuningConfig};
+use crate::config::TuningConfig;
 use crate::elem::CompactElement;
+use crate::plan::gemm::OperandPlan;
+use crate::plan::tri::TriOperands;
 use crate::plan::{explain as ex, group_packs, tiles, Command};
 use iatf_layout::{CompactBatch, LayoutError, TrsmDims, TrsmMode};
 use iatf_simd::VecWidth;
@@ -27,12 +29,19 @@ pub struct TrsmPlan<E: CompactElement> {
     packs: usize,
     /// Packs per super-block (Batch Counter output).
     pub group_packs: usize,
-    /// True when B panels must be gathered (mode not canonical, α ≠ 1 is
-    /// handled at execute time).
+    /// True under `PackPolicy::Always` or when the canonical mapping is not
+    /// the identity on B (right side or reversal) — the operands the
+    /// 128-bit rule gathered. Not what this plan does: see [`Self::b_plan`].
+    /// Consumers that address B in place themselves, left and unreversed
+    /// only, key on this.
     pub pack_b_structural: bool,
+    /// A access decision: `Direct` reads the rectangular strips in place
+    /// and packs only the diagonal blocks' triangles.
+    pub a_plan: OperandPlan,
+    /// B access decision: `Direct` solves B in place, in every mode.
+    pub b_plan: OperandPlan,
     blocks: Vec<(usize, usize)>,
-    a_blocks: Vec<pk::ABlockLayout>,
-    a_len: usize,
+    ops: TriOperands,
     panels: Vec<(usize, usize)>,
     /// Kernel handles resolved at build time, one per `(panel, block)`
     /// grid cell (row-major over `panels × blocks`), so the solve loop
@@ -62,26 +71,21 @@ impl<E: CompactElement> TrsmPlan<E> {
         let p = E::p_at(width);
         let map = pk::TrsmIndexMap::new(mode, conj, dims.m, dims.n);
         let blocks = pk::block_decomposition(map.t, E::TRSM_TB, E::TRSM_TMAX);
-        let (a_blocks, a_len) = pk::a_layout::<E>(p, &blocks);
         let panels = tiles(map.bn, E::TRSM_NR);
 
         // A tuned entry (when the policy consults the db) overrides the
         // static Pack Selecter / Batch Counter outputs below.
         let tuned = autotune::lookup_trsm::<E>(dims, mode, conj, count, cfg);
 
-        // Pack Selecter: the panel can be streamed in place only when the
-        // canonical mapping is the identity on B (left side, no reversal).
-        let identity_b = !map.reversed && !map.side_right;
+        // Pack Selecter: stream both operands in place unless told to pack.
         let pack_policy = tuned.and_then(|t| t.pack).unwrap_or(cfg.pack);
-        let pack_b_structural = match pack_policy {
-            PackPolicy::Always => true,
-            PackPolicy::Never | PackPolicy::Auto => !identity_b,
-        };
+        let ops = TriOperands::select::<E>(pack_policy, &map, p, &blocks, &panels);
 
         let g = p * E::SCALARS;
         let scalar_bytes = core::mem::size_of::<E::Real>();
-        // Batch Counter (§5.1): the packed triangle strip plus B cycle L1.
-        let bytes_per_pack = (a_len + map.t * map.bn * g) * scalar_bytes;
+        // Batch Counter (§5.1): the coefficient triangle — packed or read
+        // where it is stored, the same footprint — plus B cycle L1.
+        let bytes_per_pack = (map.t * (map.t + 1) / 2 + map.t * map.bn) * g * scalar_bytes;
         let packs = count.div_ceil(p);
         let gp = match tuned.and_then(|t| t.group_packs) {
             Some(tuned_gp) => tuned_gp.clamp(1, packs.max(1)),
@@ -107,10 +111,11 @@ impl<E: CompactElement> TrsmPlan<E> {
             p,
             packs,
             group_packs: gp,
-            pack_b_structural,
+            pack_b_structural: ops.pack_b_structural,
+            a_plan: ops.a_plan,
+            b_plan: ops.b_plan,
             blocks,
-            a_blocks,
-            a_len,
+            ops,
             panels,
             block_kernels,
             use_parallel: tuned.is_some_and(|t| t.parallel),
@@ -205,23 +210,16 @@ impl<E: CompactElement> TrsmPlan<E> {
         self.validate(a, b)?;
         obs::count_execute(obs::Op::Trsm);
         let _trace = trace::span_arg(trace::SpanKind::Execute, self.packs as u64);
-        // α ≠ 1 must be folded in during a copy, so it forces panel packing.
-        let pack_b = self.pack_b_structural || alpha != E::one();
-        let panel_cap = self.panel_cap(pack_b);
         let mut lease = arena::lease::<E::Real>();
         let gp = self.group_packs;
-        let b_rows = b.rows();
         let bps = b.pack_stride();
         for (sb_idx, b_chunk) in b.as_scalars_mut().chunks_mut(bps * gp).enumerate() {
             let sb_packs = b_chunk.len() / bps;
             self.run_superblock(
                 alpha,
-                pack_b,
-                panel_cap,
                 a,
                 b_chunk,
                 bps,
-                b_rows,
                 sb_idx * gp,
                 sb_packs,
                 lease.buffer(),
@@ -238,74 +236,71 @@ impl<E: CompactElement> TrsmPlan<E> {
     fn run_superblock(
         &self,
         alpha: E,
-        pack_b: bool,
-        panel_cap: usize,
         a: &CompactBatch<E>,
         b_chunk: &mut [E::Real],
         bps: usize,
-        b_rows: usize,
         sb: usize,
         sb_packs: usize,
         buf: &mut PackBuffer<E::Real>,
     ) {
         obs::count_superblock(obs::Op::Trsm, sb_packs);
         let _trace = trace::span_arg(trace::SpanKind::Superblock, sb_packs as u64);
-        let a_rows = a.rows();
-        let (buf_a, buf_panel) = buf.split_two(self.a_len * sb_packs, panel_cap);
+        let a_len = self.ops.a_len;
+        let (buf_a, buf_panel) = buf.split_two(a_len * sb_packs, self.ops.panel_cap);
         // Packing phase: coefficient triangles for the whole super-block.
         for slot in 0..sb_packs {
             let _span = obs::phase(obs::Phase::PackA);
             let _trace = trace::span_arg(trace::SpanKind::PackA, (sb + slot) as u64);
             let pack = sb + slot;
             let live = self.p.min(self.count - pack * self.p);
-            pk::pack_a_trsm::<E>(
-                &mut buf_a[slot * self.a_len..(slot + 1) * self.a_len],
+            self.ops.pack_a::<E>(
+                &mut buf_a[slot * a_len..(slot + 1) * a_len],
                 a.pack_slice(pack),
-                a_rows,
                 self.p,
                 &self.map,
-                &self.a_blocks,
                 live,
+                true,
             );
-            obs::count_packed_bytes_a(self.a_len * core::mem::size_of::<E::Real>());
+            obs::count_packed_bytes_a(a_len * core::mem::size_of::<E::Real>());
         }
         // Compute phase: per pack, per column panel, per diagonal block.
         for slot in 0..sb_packs {
-            let ab = &buf_a[slot * self.a_len..(slot + 1) * self.a_len];
+            let ab = &buf_a[slot * a_len..(slot + 1) * a_len];
             let b_pack = &mut b_chunk[slot * bps..(slot + 1) * bps];
-            self.solve_pack(alpha, pack_b, ab, buf_panel, b_pack, b_rows);
+            self.solve_pack(alpha, ab, a.pack_slice(sb + slot), buf_panel, b_pack);
         }
     }
 
-    /// Panel scratch capacity (0 when streaming B in place).
-    fn panel_cap(&self, pack_b: bool) -> usize {
-        if !pack_b {
-            return 0;
-        }
-        self.panels
-            .iter()
-            .map(|&(_, w)| pk::panel_b_len::<E>(self.p, self.map.t, w))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Solves one pack's B in place, given its packed A strips.
+    /// Solves one pack's B in place, given its packed A data `ab` and its
+    /// stored A pack `a_pack`.
     fn solve_pack(
         &self,
         alpha: E,
-        pack_b: bool,
         ab: &[E::Real],
+        a_pack: &[E::Real],
         buf_panel: &mut [E::Real],
         b_pack: &mut [E::Real],
-        b_rows: usize,
     ) {
-        let g = self.p * E::SCALARS;
-        let block_count = self.a_blocks.len();
-        for (pi, &(j0, w)) in self.panels.iter().enumerate() {
-            let (panel_ptr, row_stride, col_stride) = if pack_b {
+        let b_rows = self.dims.m;
+        let pack_b = self.b_plan == OperandPlan::Packed;
+        if !pack_b && alpha != E::one() {
+            // In place there is no copy to fold α into: scale B where it
+            // is, with the product the panel packer computes.
+            let _span = obs::phase(obs::Phase::Scale);
+            let _trace = trace::span_arg(trace::SpanKind::Scale, 0);
+            pk::scale_b_in_place::<E>(self.p, b_pack, alpha);
+        }
+        // rectangular strips come out of the packed buffer or the stored A
+        let rect_src = match self.a_plan {
+            OperandPlan::Packed => ab,
+            OperandPlan::Direct => a_pack,
+        };
+        let block_count = self.blocks.len();
+        for (pi, (&(j0, w), at)) in self.panels.iter().zip(&self.ops.panel).enumerate() {
+            let len = pk::panel_b_len::<E>(self.p, self.map.t, w);
+            let panel_src = if pack_b {
                 let _span = obs::phase(obs::Phase::Scale);
                 let _trace = trace::span_arg(trace::SpanKind::Scale, j0 as u64);
-                let len = pk::panel_b_len::<E>(self.p, self.map.t, w);
                 pk::pack_b_panel::<E>(
                     &mut buf_panel[..len],
                     b_pack,
@@ -317,39 +312,35 @@ impl<E: CompactElement> TrsmPlan<E> {
                     alpha,
                 );
                 obs::count_packed_bytes_b(len * core::mem::size_of::<E::Real>());
-                (buf_panel.as_mut_ptr(), w * g, g)
+                &mut *buf_panel
             } else {
-                // Stream the compact B columns in place: row stride is one
-                // element group, column stride one column.
-                // SAFETY: `j0` is a validated column-tile origin, so the offset stays inside the `b_rows`-column panel.
-                let ptr = unsafe { b_pack.as_mut_ptr().add(j0 * b_rows * g) };
-                (ptr, g, b_rows * g)
+                &mut *b_pack
             };
+            // SAFETY: `at.base` is the panel's canonical (0, 0) inside `panel_src` — checked against its length, with the whole `t × w` extent, by `TriOperands::addresses_in_bounds` at plan build.
+            let panel_ptr = unsafe { panel_src.as_mut_ptr().add(at.base) };
             {
                 let _span = obs::phase(obs::Phase::Compute);
                 let _trace = trace::span_arg(trace::SpanKind::Compute, j0 as u64);
-                for (bi, blk) in self.a_blocks.iter().enumerate() {
+                for (bi, (blk, rect)) in self.ops.a_blocks.iter().zip(&self.ops.rect).enumerate() {
                     obs::count_dispatch(
                         obs::Op::Trsm,
                         blk.mb,
                         w,
                         blk.mb == E::TRSM_TB && w == E::TRSM_NR,
                     );
-                    // Safety: panel covers rows 0..t × w columns; the packed
-                    // A strips cover blk's rect and triangle; the handle was
-                    // resolved for this (block, panel) shape at build time.
+                    // SAFETY: the panel covers canonical rows 0..t × w columns at `at`'s signed strides and the rect strip `r0` slivers of `mb` groups at `rect`'s, all inside their source slices (`TriOperands::addresses_in_bounds`); `tri_off` addresses the block's packed triangle inside `ab`; the handle was resolved for this (block, panel) shape at build time.
                     unsafe {
                         E::trsm_kernel(
                             self.block_kernels[pi * block_count + bi],
                             blk.r0,
-                            ab.as_ptr().add(blk.rect_off),
-                            g,
-                            blk.mb * g,
+                            rect_src.as_ptr().add(rect.base),
+                            rect.row_stride(),
+                            rect.col_stride(),
                             ab.as_ptr().add(blk.tri_off),
                             panel_ptr,
                             blk.r0,
-                            row_stride,
-                            col_stride,
+                            at.row_stride(),
+                            at.col_stride(),
                         );
                     }
                 }
@@ -357,7 +348,6 @@ impl<E: CompactElement> TrsmPlan<E> {
             if pack_b {
                 let _span = obs::phase(obs::Phase::Unpack);
                 let _trace = trace::span_arg(trace::SpanKind::Unpack, j0 as u64);
-                let len = pk::panel_b_len::<E>(self.p, self.map.t, w);
                 pk::unpack_b_panel::<E>(
                     &buf_panel[..len],
                     b_pack,
@@ -390,10 +380,7 @@ impl<E: CompactElement> TrsmPlan<E> {
         self.validate(a, b)?;
         obs::count_execute(obs::Op::Trsm);
         let _trace = trace::span_arg(trace::SpanKind::Execute, self.packs as u64);
-        let pack_b = self.pack_b_structural || alpha != E::one();
-        let panel_cap = self.panel_cap(pack_b);
         let gp = self.group_packs;
-        let b_rows = b.rows();
         let bps = b.pack_stride();
         b.as_scalars_mut()
             .par_chunks_mut(bps * gp)
@@ -402,12 +389,9 @@ impl<E: CompactElement> TrsmPlan<E> {
                 let sb_packs = b_chunk.len() / bps;
                 self.run_superblock(
                     alpha,
-                    pack_b,
-                    panel_cap,
                     a,
                     b_chunk,
                     bps,
-                    b_rows,
                     sb_idx * gp,
                     sb_packs,
                     lease.buffer(),
@@ -416,9 +400,9 @@ impl<E: CompactElement> TrsmPlan<E> {
         Ok(())
     }
 
-    /// The plan rendered as the paper's command-queue view (assuming packed
-    /// panels; the no-pack fast path elides Pack/Unpack commands). Rendered
-    /// once on first call and cached in the plan.
+    /// The plan rendered as the paper's command-queue view (an in-place B
+    /// has no Pack/Unpack panel commands). Rendered once on first call and
+    /// cached in the plan.
     pub fn commands(&self) -> &[Command] {
         self.commands.get_or_init(|| self.render_commands())
     }
@@ -434,7 +418,7 @@ impl<E: CompactElement> TrsmPlan<E> {
             for slot in 0..sb_packs {
                 let pack = sb + slot;
                 for &(j0, w) in &self.panels {
-                    if self.pack_b_structural {
+                    if self.b_plan == OperandPlan::Packed {
                         out.push(Command::PackPanel { pack, j0, w });
                     }
                     for &(r0, mb) in &self.blocks {
@@ -446,7 +430,7 @@ impl<E: CompactElement> TrsmPlan<E> {
                             kk: r0,
                         });
                     }
-                    if self.pack_b_structural {
+                    if self.b_plan == OperandPlan::Packed {
                         out.push(Command::UnpackPanel { pack, j0, w });
                     }
                 }
@@ -459,8 +443,8 @@ impl<E: CompactElement> TrsmPlan<E> {
 
     /// Structured description of what one `execute()` will do. `k` is 0
     /// (triangular op); tile classes are diagonal blocks × column panels.
-    /// Predicted packed bytes assume α = 1 (α ≠ 1 additionally forces
-    /// panel packing at execute time).
+    /// Predicted packed bytes are exactly what `execute` writes into
+    /// scratch, whatever α is.
     pub fn explain(&self) -> obs::PlanExplain {
         let main = (E::TRSM_TB, E::TRSM_NR);
         let classes = ex::tile_classes(
@@ -474,14 +458,7 @@ impl<E: CompactElement> TrsmPlan<E> {
         // left-looking solve: t(t+1)/2 MACs (counting the diagonal
         // division as one) per B column
         let macs = (t * (t + 1) / 2 * self.map.bn * self.count) as u64;
-        let panel_bytes: usize = if self.pack_b_structural {
-            self.panels
-                .iter()
-                .map(|&(_, w)| pk::panel_b_len::<E>(self.p, t, w))
-                .sum()
-        } else {
-            0
-        };
+        let packed_scalars = self.ops.packed_scalars::<E>(self.p, t, &self.panels);
         obs::PlanExplain {
             op: "trsm".into(),
             dtype: E::DTYPE.to_string(),
@@ -497,16 +474,10 @@ impl<E: CompactElement> TrsmPlan<E> {
             group_packs: self.group_packs,
             main_kernel: main,
             main_area_fraction: ex::main_area_fraction(&classes, t * self.map.bn),
-            pack_a: "packed".into(),
-            pack_b: if self.pack_b_structural {
-                "packed"
-            } else {
-                "on-demand"
-            }
-            .into(),
+            pack_a: self.ops.pack_a_str().into(),
+            pack_b: self.ops.pack_b_str().into(),
             predicted_flops: E::DTYPE.flops_per_mac() as u64 * macs,
-            predicted_packed_bytes: ((self.a_len + panel_bytes) * self.packs) as u64
-                * scalar_bytes,
+            predicted_packed_bytes: (packed_scalars * self.packs) as u64 * scalar_bytes,
             predicted_dispatches: (self.blocks.len() * self.panels.len() * self.packs) as u64,
             kernels: ex::trsm_kernel_stats(E::DTYPE, &self.blocks, &self.panels),
             verify: (!E::DTYPE.is_complex()).then(|| {
@@ -524,23 +495,65 @@ mod tests {
     use iatf_layout::{Diag, Side, Trans, Uplo};
 
     #[test]
-    fn canonical_mode_streams_b() {
+    fn every_mode_streams_both_operands() {
+        use crate::config::PackPolicy;
         let cfg = TuningConfig::default();
-        let p =
-            TrsmPlan::<f64>::new(TrsmDims::new(4, 8), TrsmMode::LNLN, false, 4, &cfg).unwrap();
-        assert!(!p.pack_b_structural);
-        // LTUN: trans flips upper to effective-lower — still identity on B.
-        let p =
-            TrsmPlan::<f64>::new(TrsmDims::new(4, 8), TrsmMode::LTUN, false, 4, &cfg).unwrap();
-        assert!(!p.pack_b_structural);
-        // LNUN reverses rows — must pack.
-        let p =
-            TrsmPlan::<f64>::new(TrsmDims::new(4, 8), TrsmMode::LNUN, false, 4, &cfg).unwrap();
-        assert!(p.pack_b_structural);
-        // right side transposes B — must pack.
         let right = TrsmMode::new(Side::Right, Trans::No, Uplo::Lower, Diag::NonUnit);
-        let p = TrsmPlan::<f64>::new(TrsmDims::new(4, 8), right, false, 4, &cfg).unwrap();
+        // (mode, identity on B): the legacy flag still tells the modes apart
+        for (mode, identity_b) in [
+            (TrsmMode::LNLN, true),
+            // trans flips upper to effective-lower — still identity on B
+            (TrsmMode::LTUN, true),
+            // reversed rows: solved from the stored last row downwards
+            (TrsmMode::LNUN, false),
+            // right side: row and column steps swap
+            (right, false),
+        ] {
+            let p = TrsmPlan::<f64>::new(TrsmDims::new(4, 8), mode, false, 4, &cfg).unwrap();
+            assert_eq!(p.b_plan, OperandPlan::Direct, "{mode}");
+            assert_eq!(p.a_plan, OperandPlan::Direct, "{mode}");
+            assert_eq!(p.pack_b_structural, !identity_b, "{mode}");
+            let ex = p.explain();
+            assert_eq!(
+                (ex.pack_a.as_str(), ex.pack_b.as_str()),
+                ("triangle-only", "in-place")
+            );
+        }
+        // Always keeps the fully packed reference path.
+        let always = TuningConfig {
+            pack: PackPolicy::Always,
+            ..cfg.clone()
+        };
+        let p =
+            TrsmPlan::<f64>::new(TrsmDims::new(4, 8), TrsmMode::LNLN, false, 4, &always).unwrap();
+        assert_eq!(
+            (p.a_plan, p.b_plan),
+            (OperandPlan::Packed, OperandPlan::Packed)
+        );
         assert!(p.pack_b_structural);
+        // Conjugation is not a stride: A packs its strips, B stays in place.
+        let p = TrsmPlan::<iatf_simd::c64>::new(TrsmDims::new(4, 8), TrsmMode::LNUN, true, 4, &cfg)
+            .unwrap();
+        assert_eq!(
+            (p.a_plan, p.b_plan),
+            (OperandPlan::Packed, OperandPlan::Direct)
+        );
+        // ... and on a real element it is the identity.
+        let p = TrsmPlan::<f64>::new(TrsmDims::new(4, 8), TrsmMode::LNUN, true, 4, &cfg).unwrap();
+        assert_eq!(p.a_plan, OperandPlan::Direct);
+    }
+
+    #[test]
+    fn triangle_only_pack_is_what_explain_predicts() {
+        // 9 rows real: blocks 4+4+1 → 10+10+1 triangle groups per pack,
+        // against 45 for the full strips + triangles.
+        let cfg = TuningConfig {
+            width: VecWidth::W128,
+            ..TuningConfig::default()
+        };
+        let p = TrsmPlan::<f64>::new(TrsmDims::new(9, 4), TrsmMode::LNUN, false, 4, &cfg).unwrap();
+        let group_bytes = 2 * 8;
+        assert_eq!(p.explain().predicted_packed_bytes, 2 * 21 * group_bytes);
     }
 
     #[test]
@@ -568,7 +581,11 @@ mod tests {
 
     #[test]
     fn command_queue_solves_blocks_in_order() {
-        let cfg = TuningConfig::default();
+        // packed panels, so the queue shows the Pack/Unpack pairing too
+        let cfg = TuningConfig {
+            pack: crate::config::PackPolicy::Always,
+            ..TuningConfig::default()
+        };
         let p =
             TrsmPlan::<f64>::new(TrsmDims::new(9, 4), TrsmMode::LNUN, false, 2, &cfg).unwrap();
         let cmds = p.commands();
@@ -604,6 +621,19 @@ mod tests {
             .count();
         assert_eq!(packs, unpacks);
         assert_eq!(packs, 1); // one pack × one panel of width 4
+                              // in place there is nothing to pack or scatter
+        let p = TrsmPlan::<f64>::new(
+            TrsmDims::new(9, 4),
+            TrsmMode::LNUN,
+            false,
+            2,
+            &TuningConfig::default(),
+        )
+        .unwrap();
+        assert!(!p
+            .commands()
+            .iter()
+            .any(|c| matches!(c, Command::PackPanel { .. } | Command::UnpackPanel { .. })));
     }
 
     #[test]

@@ -392,3 +392,198 @@ fn plan_reuse_is_deterministic() {
         assert!(want.max_abs_diff(&cc.to_std()) < 1e-12);
     }
 }
+
+// ---------------------------------------------------------------------------
+// In-place streaming vs the fully packed reference
+// ---------------------------------------------------------------------------
+
+use iatf_core::{GemmPlan, PlanCachePolicy, TrmmPlan, TrsmPlan};
+use iatf_layout::{GemmDims, TrsmDims};
+use iatf_simd::{available_widths, VecWidth};
+
+fn scalar_bits<E: CompactElement>(c: &CompactBatch<E>) -> Vec<u64> {
+    c.as_scalars()
+        .iter()
+        .map(|x| x.to_f64().to_bits())
+        .collect()
+}
+
+fn policy_cfg(pack: PackPolicy, width: VecWidth) -> TuningConfig {
+    TuningConfig {
+        pack,
+        width,
+        plan_cache: PlanCachePolicy::Bypass,
+        ..TuningConfig::default()
+    }
+}
+
+/// Group counts around one pack: 1, P−1, P, P+1 (deduplicated, ≥ 1).
+fn counts_around(p: usize) -> Vec<usize> {
+    let mut v = vec![1, p.saturating_sub(1).max(1), p, p + 1];
+    v.dedup();
+    v
+}
+
+#[derive(Copy, Clone, Debug)]
+enum TriOp {
+    Solve,
+    Multiply,
+}
+
+/// One plan execution on a copy of `b0`, serial or through the parallel
+/// executor.
+#[allow(clippy::too_many_arguments)]
+fn run_tri<E: CompactElement>(
+    op: TriOp,
+    mode: TrsmMode,
+    conj: bool,
+    alpha: E,
+    a: &CompactBatch<E>,
+    b0: &CompactBatch<E>,
+    cfg: &TuningConfig,
+    parallel: bool,
+) -> CompactBatch<E> {
+    let dims = TrsmDims::new(b0.rows(), b0.cols());
+    let mut b = b0.clone();
+    macro_rules! go {
+        ($plan:ident) => {{
+            let plan = $plan::<E>::new(dims, mode, conj, b0.count(), cfg).unwrap();
+            #[cfg(feature = "parallel")]
+            if parallel {
+                plan.execute_parallel(alpha, a, &mut b).unwrap();
+                return b;
+            }
+            let _ = parallel;
+            plan.execute(alpha, a, &mut b).unwrap();
+        }};
+    }
+    match op {
+        TriOp::Solve => go!(TrsmPlan),
+        TriOp::Multiply => go!(TrmmPlan),
+    }
+    b
+}
+
+/// `Auto` (everything in place) against `Always` (everything packed), bit
+/// for bit, and against the oracle — for one dtype at one width, over all
+/// 16 modes × counts around P × three B shapes × conj × both ops. A comes
+/// from `random_triangular`, whose other half (and unit diagonal) is
+/// poisoned with ~1e30: a rectangular strip read outside the referenced
+/// triangle cannot stay inside the oracle tolerance.
+fn tri_in_place_matches_packed<E: CompactElement>(width: VecWidth) {
+    let alpha = E::from_f64s(1.25, -0.5);
+    let dlim = if E::Real::BYTES == 4 { 2e-3 } else { 1e-9 };
+    for mode in TrsmMode::all() {
+        for (m, n) in [(9usize, 9usize), (7, 3), (3, 7)] {
+            let t = if mode.side == Side::Left { m } else { n };
+            for count in counts_around(E::p_at(width)) {
+                let seed = (m * 31 + n) as u64 + count as u64;
+                let a_std = StdBatch::<E>::random_triangular(t, count, mode.uplo, mode.diag, seed);
+                let b_std = StdBatch::<E>::random(m, n, count, seed + 1);
+                let a = CompactBatch::from_std_at(&a_std, width);
+                let b0 = CompactBatch::from_std_at(&b_std, width);
+                for conj in [false, true] {
+                    for op in [TriOp::Solve, TriOp::Multiply] {
+                        let what = format!(
+                            "{op:?} {:?} {mode} {m}x{n} conj={conj} count={count} {width}",
+                            E::DTYPE
+                        );
+                        let auto = policy_cfg(PackPolicy::Auto, width);
+                        let always = policy_cfg(PackPolicy::Always, width);
+                        let want_bits =
+                            scalar_bits(&run_tri(op, mode, conj, alpha, &a, &b0, &always, false));
+                        let got = run_tri(op, mode, conj, alpha, &a, &b0, &auto, false);
+                        assert_eq!(scalar_bits(&got), want_bits, "serial {what}");
+                        if cfg!(feature = "parallel") {
+                            let par = run_tri(op, mode, conj, alpha, &a, &b0, &auto, true);
+                            assert_eq!(scalar_bits(&par), want_bits, "parallel {what}");
+                        }
+                        let mut want = b_std.clone();
+                        match op {
+                            TriOp::Solve => naive::trsm_ref(mode, conj, alpha, &a_std, &mut want),
+                            TriOp::Multiply => {
+                                naive::trmm_ref(mode, conj, alpha, &a_std, &mut want);
+                            }
+                        }
+                        let diff = want.max_abs_diff(&got.to_std());
+                        assert!(diff < dlim, "{what}: diff vs oracle {diff}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn tri_in_place_is_bitwise_the_packed_path_all_modes_widths_dtypes() {
+    for &width in available_widths() {
+        tri_in_place_matches_packed::<f32>(width);
+        tri_in_place_matches_packed::<f64>(width);
+        tri_in_place_matches_packed::<c32>(width);
+        tri_in_place_matches_packed::<c64>(width);
+    }
+}
+
+/// GEMM: streamed operands against packed panels, bit for bit (same FMA
+/// order, different addresses), all four modes, edge tiles both ways.
+fn gemm_direct_matches_packed<E: CompactElement>(width: VecWidth) {
+    let (m, n, k) = (9usize, 7usize, 5usize);
+    let dims = GemmDims::new(m, n, k);
+    let (alpha, beta) = (E::from_f64s(1.5, 0.25), E::from_f64s(-0.5, 1.0));
+    for mode in GemmMode::ALL {
+        let (ar, ac) = dims.a_shape(mode);
+        let (br, bc) = dims.b_shape(mode);
+        for count in counts_around(E::p_at(width)) {
+            let a_std = StdBatch::<E>::random(ar, ac, count, 11);
+            let b_std = StdBatch::<E>::random(br, bc, count, 12);
+            let c_std = StdBatch::<E>::random(m, n, count, 13);
+            let a = CompactBatch::from_std_at(&a_std, width);
+            let b = CompactBatch::from_std_at(&b_std, width);
+            let c0 = CompactBatch::from_std_at(&c_std, width);
+            let run = |pack: PackPolicy, parallel: bool| {
+                let plan =
+                    GemmPlan::<E>::new(dims, mode, false, false, count, &policy_cfg(pack, width))
+                        .unwrap();
+                let mut c = c0.clone();
+                #[cfg(feature = "parallel")]
+                if parallel {
+                    plan.execute_parallel(alpha, &a, &b, beta, &mut c).unwrap();
+                    return c;
+                }
+                let _ = parallel;
+                plan.execute(alpha, &a, &b, beta, &mut c).unwrap();
+                c
+            };
+            let what = format!("gemm {:?} {mode} count={count} {width}", E::DTYPE);
+            let want_bits = scalar_bits(&run(PackPolicy::Always, false));
+            let got = run(PackPolicy::Auto, false);
+            assert_eq!(scalar_bits(&got), want_bits, "auto {what}");
+            assert_eq!(
+                scalar_bits(&run(PackPolicy::Never, false)),
+                want_bits,
+                "never {what}"
+            );
+            if cfg!(feature = "parallel") {
+                assert_eq!(
+                    scalar_bits(&run(PackPolicy::Auto, true)),
+                    want_bits,
+                    "parallel {what}"
+                );
+            }
+            let mut want = c_std.clone();
+            naive::gemm_ref(mode, false, false, alpha, &a_std, &b_std, beta, &mut want);
+            let diff = want.max_abs_diff(&got.to_std());
+            assert!(diff <= tol::<E>(k) * 4.0, "{what}: diff vs oracle {diff}");
+        }
+    }
+}
+
+#[test]
+fn gemm_direct_is_bitwise_the_packed_path_all_modes_widths_dtypes() {
+    for &width in available_widths() {
+        gemm_direct_matches_packed::<f32>(width);
+        gemm_direct_matches_packed::<f64>(width);
+        gemm_direct_matches_packed::<c32>(width);
+        gemm_direct_matches_packed::<c64>(width);
+    }
+}

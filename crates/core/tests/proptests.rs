@@ -6,7 +6,7 @@ use iatf_core::{compact_gemm, compact_trsm, GemmPlan, TuningConfig};
 use iatf_layout::{
     CompactBatch, Diag, GemmDims, GemmMode, Side, StdBatch, Trans, TrsmMode, Uplo,
 };
-use iatf_simd::c64;
+use iatf_simd::{c64, Element};
 use proptest::prelude::*;
 
 fn gemm_mode_strategy() -> impl Strategy<Value = GemmMode> {
@@ -148,7 +148,7 @@ proptest! {
                 *area.entry(pack).or_insert(0usize) += mr * nr;
             }
         }
-        let packs = count.div_ceil(4);
+        let packs = count.div_ceil(f32::p_at(cfg.width));
         prop_assert_eq!(area.len(), packs);
         for (_, a) in area {
             prop_assert_eq!(a, m * n);
@@ -169,9 +169,10 @@ proptest! {
         let pad = compact.padding_lanes();
         if pad > 0 {
             let sp = compact.pack_slice(compact.packs() - 1);
+            let p = compact.p();
             for gidx in 0..rows * cols {
-                for lane in (4 - pad)..4 {
-                    prop_assert_eq!(sp[gidx * 4 + lane], 0.0);
+                for lane in (p - pad)..p {
+                    prop_assert_eq!(sp[gidx * p + lane], 0.0);
                 }
             }
         }

@@ -5,15 +5,20 @@
 #![cfg(feature = "trace")]
 
 use iatf_core::trace::{self, SpanKind};
-use iatf_core::{GemmPlan, TrsmPlan, TuningConfig};
+use iatf_core::{GemmPlan, PackPolicy, TrsmPlan, TuningConfig};
 use iatf_layout::{CompactBatch, GemmDims, GemmMode, StdBatch, TrsmDims, TrsmMode};
 
 #[test]
 fn plan_lifecycle_records_every_phase() {
     trace::reset();
-    let cfg = TuningConfig::default();
+    // The fully packed path is the one that goes through every phase; the
+    // default streams operands in place and has no pack_b / unpack to span.
+    let cfg = TuningConfig {
+        pack: PackPolicy::Always,
+        ..TuningConfig::default()
+    };
 
-    // n=16 GEMM: both operands exceed the kernel tile, so A and B pack.
+    // n=16 GEMM: A and B pack.
     let dims = GemmDims::square(16);
     let plan = GemmPlan::<f64>::new(dims, GemmMode::NN, false, false, 64, &cfg).unwrap();
     let a = CompactBatch::from_std(&StdBatch::<f64>::random(16, 16, 64, 1));
@@ -21,7 +26,7 @@ fn plan_lifecycle_records_every_phase() {
     let mut c = CompactBatch::<f64>::zeroed(16, 16, 64);
     plan.execute(1.0, &a, &b, 0.0, &mut c).unwrap();
 
-    // LNUN TRSM reverses rows, forcing panel packing → Scale and Unpack.
+    // TRSM panels are gathered (Scale) and scattered back (Unpack).
     let tplan =
         TrsmPlan::<f64>::new(TrsmDims::new(8, 8), TrsmMode::LNUN, false, 32, &cfg).unwrap();
     let ta = {

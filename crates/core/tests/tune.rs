@@ -137,7 +137,7 @@ fn trsm_bitexact<E: CompactElement>(q: usize, n: usize) {
     let ph = TrsmPlan::<E>::new(dims, mode, false, COUNT, &heuristic_cfg()).unwrap();
     let pt = TrsmPlan::<E>::new(dims, mode, false, COUNT, &cfg).unwrap();
     assert!(
-        ph.pack_b_structural != pt.pack_b_structural || ph.group_packs != pt.group_packs,
+        ph.b_plan != pt.b_plan || ph.group_packs != pt.group_packs,
         "forced entry produced an identical TRSM plan for {}",
         std::any::type_name::<E>()
     );
@@ -171,7 +171,7 @@ fn trmm_bitexact<E: CompactElement>(q: usize, n: usize) {
     let ph = TrmmPlan::<E>::new(dims, mode, false, COUNT, &heuristic_cfg()).unwrap();
     let pt = TrmmPlan::<E>::new(dims, mode, false, COUNT, &cfg).unwrap();
     assert!(
-        ph.pack_b_structural != pt.pack_b_structural || ph.group_packs != pt.group_packs,
+        ph.b_plan != pt.b_plan || ph.group_packs != pt.group_packs,
         "forced entry produced an identical TRMM plan for {}",
         std::any::type_name::<E>()
     );

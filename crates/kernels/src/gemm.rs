@@ -134,10 +134,14 @@ pub unsafe fn gemm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
         // 0 with FMUL so nothing depends on a zeroed accumulator.
         let mut a0 = load_set::<V, MR>(pa, a_i);
         let mut a1 = load_set::<V, MR>(pa.add(a_k), a_i);
-        pa = pa.add(2 * a_k);
+        // The cursors advance with wrapping arithmetic: after the last
+        // sliver they may point past the operand (a no-pack tile at
+        // `i0 > 0` of the last pack ends beyond the batch), which is a
+        // value never dereferenced, not an in-bounds offset.
+        pa = pa.wrapping_add(2 * a_k);
         let mut b0 = load_set::<V, NR>(pb, b_j);
         let mut b1 = load_set::<V, NR>(pb.add(b_k), b_j);
-        pb = pb.add(2 * b_k);
+        pb = pb.wrapping_add(2 * b_k);
         fmul_tile(&mut acc, &a0, &b0);
 
         // Steps 1..k remain; set 1 holds step 1. Each M2/M1 computes one
@@ -151,14 +155,14 @@ pub unsafe fn gemm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
             // TEMPLATE_M2: load set 0, compute set 1.
             a0 = load_set::<V, MR>(pa, a_i);
             b0 = load_set::<V, NR>(pb, b_j);
-            pa = pa.add(a_k);
-            pb = pb.add(b_k);
+            pa = pa.wrapping_add(a_k);
+            pb = pb.wrapping_add(b_k);
             fma_tile(&mut acc, &a1, &b1);
             // TEMPLATE_M1: load set 1, compute set 0.
             a1 = load_set::<V, MR>(pa, a_i);
             b1 = load_set::<V, NR>(pb, b_j);
-            pa = pa.add(a_k);
-            pb = pb.add(b_k);
+            pa = pa.wrapping_add(a_k);
+            pb = pb.wrapping_add(b_k);
             fma_tile(&mut acc, &a0, &b0);
             remaining -= 2;
         }
@@ -224,8 +228,8 @@ pub unsafe fn gemm_ukr_nopipeline<V: SimdReal, const MR: usize, const NR: usize>
     for _ in 0..k {
         let a0 = load_set::<V, MR>(pa, a_i);
         let b0 = load_set::<V, NR>(pb, b_j);
-        pa = pa.add(a_k);
-        pb = pb.add(b_k);
+        pa = pa.wrapping_add(a_k);
+        pb = pb.wrapping_add(b_k);
         fma_tile(&mut acc, &a0, &b0);
     }
     let valpha = V::splat(alpha);
@@ -304,23 +308,23 @@ pub unsafe fn cgemm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
     } else if k >= 2 {
         let mut a0 = load_cset::<V, MR>(pa, a_i);
         let mut a1 = load_cset::<V, MR>(pa.add(a_k), a_i);
-        pa = pa.add(2 * a_k);
+        pa = pa.wrapping_add(2 * a_k);
         let mut b0 = load_cset::<V, NR>(pb, b_j);
         let mut b1 = load_cset::<V, NR>(pb.add(b_k), b_j);
-        pb = pb.add(2 * b_k);
+        pb = pb.wrapping_add(2 * b_k);
         cfma_tile(&mut acc, &a0, &b0);
 
         let mut remaining = k - 1;
         while remaining >= 3 {
             a0 = load_cset::<V, MR>(pa, a_i);
             b0 = load_cset::<V, NR>(pb, b_j);
-            pa = pa.add(a_k);
-            pb = pb.add(b_k);
+            pa = pa.wrapping_add(a_k);
+            pb = pb.wrapping_add(b_k);
             cfma_tile(&mut acc, &a1, &b1);
             a1 = load_cset::<V, MR>(pa, a_i);
             b1 = load_cset::<V, NR>(pb, b_j);
-            pa = pa.add(a_k);
-            pb = pb.add(b_k);
+            pa = pa.wrapping_add(a_k);
+            pb = pb.wrapping_add(b_k);
             cfma_tile(&mut acc, &a0, &b0);
             remaining -= 2;
         }

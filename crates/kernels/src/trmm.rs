@@ -21,9 +21,11 @@
 //! diagonal is stored *directly* (multiplied, not divided — no reciprocal
 //! needed here; unit diagonals pack as 1).
 
+use crate::trsm::{load_cset, load_set};
 use iatf_simd::{prefetch_read, CVec, SimdReal};
 
-/// Function-pointer type of a monomorphized real TRMM block kernel.
+/// Function-pointer type of a monomorphized real TRMM block kernel. Strides
+/// are signed steps carried in `usize`, as in [`crate::trsm::RealTrsmKernel`].
 // SAFETY: unsafe fn type — callers must pass panel/packed pointers valid for the extents implied by (kk, MR, NR, strides); see the packing contract above.
 pub type RealTrmmKernel<R> = unsafe fn(
     kk: usize,
@@ -53,21 +55,12 @@ pub type CplxTrmmKernel<R> = unsafe fn(
     col_stride: usize,
 );
 
-#[inline(always)]
-// SAFETY: unsafe fn — `p` must be valid for the whole strided extent (`(N-1)*stride + LANES` scalars); each lane load stays inside it.
-unsafe fn load_set<V: SimdReal, const N: usize>(p: *const V::Scalar, stride: usize) -> [V; N] {
-    let mut out = [V::zero(); N];
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = V::load(p.add(i * stride));
-    }
-    out
-}
-
 /// Fused real TRMM block kernel.
 ///
 /// # Safety
-/// Same operand contract as `iatf_kernels::trsm_ukr` (packed rect strip,
-/// packed triangle with *direct* diagonal, row-major panel).
+/// Same operand contract as `iatf_kernels::trsm_ukr` (rect strip, packed
+/// triangle with *direct* diagonal, panel — strides read as signed, see
+/// [`crate::trsm::RealTrsmKernel`]).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub unsafe fn trmm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
@@ -83,7 +76,9 @@ pub unsafe fn trmm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
     col_stride: usize,
 ) {
     let p = V::LANES;
-    prefetch_read(panel.add(row0 * row_stride));
+    let (a_i, a_k) = (a_i as isize, a_k as isize);
+    let (row0, rs, cs) = (row0 as isize, row_stride as isize, col_stride as isize);
+    prefetch_read(panel.offset(row0 * rs));
     let mut acc = [[V::zero(); NR]; MR];
 
     // triangular part: acc_i = Σ_{j ≤ i} L(i,j) · B_orig(row0+j)
@@ -93,7 +88,7 @@ pub unsafe fn trmm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
             let lij = V::load(tri);
             tri = tri.add(p);
             for col in 0..NR {
-                let x = V::load(panel.add((row0 + j) * row_stride + col * col_stride));
+                let x = V::load(panel.offset((row0 + j as isize) * rs + col as isize * cs));
                 acc[i][col] = acc[i][col].fma(lij, x);
             }
         }
@@ -102,7 +97,7 @@ pub unsafe fn trmm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
     // rectangular part over the rows above the block (double-buffered)
     if kk == 1 {
         let a0 = load_set::<V, MR>(pa_rect, a_i);
-        let x0 = load_set::<V, NR>(panel, col_stride);
+        let x0 = load_set::<V, NR>(panel, cs);
         for i in 0..MR {
             for j in 0..NR {
                 acc[i][j] = acc[i][j].fma(a0[i], x0[j]);
@@ -110,11 +105,11 @@ pub unsafe fn trmm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
         }
     } else if kk >= 2 {
         let mut a0 = load_set::<V, MR>(pa_rect, a_i);
-        let mut a1 = load_set::<V, MR>(pa_rect.add(a_k), a_i);
-        pa_rect = pa_rect.add(2 * a_k);
-        let mut x0 = load_set::<V, NR>(panel, col_stride);
-        let mut x1 = load_set::<V, NR>(panel.add(row_stride), col_stride);
-        let mut xrow = 2usize;
+        let mut a1 = load_set::<V, MR>(pa_rect.offset(a_k), a_i);
+        pa_rect = pa_rect.wrapping_offset(2 * a_k);
+        let mut x0 = load_set::<V, NR>(panel, cs);
+        let mut x1 = load_set::<V, NR>(panel.offset(rs), cs);
+        let mut xrow = 2isize;
         let mut k = 0usize;
         while k < kk {
             let (a, x) = if k % 2 == 0 { (&a0, &x0) } else { (&a1, &x1) };
@@ -126,12 +121,12 @@ pub unsafe fn trmm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
             if k + 2 < kk {
                 if k % 2 == 0 {
                     a0 = load_set::<V, MR>(pa_rect, a_i);
-                    x0 = load_set::<V, NR>(panel.add(xrow * row_stride), col_stride);
+                    x0 = load_set::<V, NR>(panel.offset(xrow * rs), cs);
                 } else {
                     a1 = load_set::<V, MR>(pa_rect, a_i);
-                    x1 = load_set::<V, NR>(panel.add(xrow * row_stride), col_stride);
+                    x1 = load_set::<V, NR>(panel.offset(xrow * rs), cs);
                 }
-                pa_rect = pa_rect.add(a_k);
+                pa_rect = pa_rect.wrapping_offset(a_k);
                 xrow += 1;
             }
             k += 1;
@@ -143,7 +138,7 @@ pub unsafe fn trmm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
     for (i, row) in acc.iter().enumerate() {
         for (j, cell) in row.iter().enumerate() {
             cell.mul(va)
-                .store(panel.add((row0 + i) * row_stride + j * col_stride));
+                .store(panel.offset((row0 + i as isize) * rs + j as isize * cs));
         }
     }
 }
@@ -167,7 +162,9 @@ pub unsafe fn ctrmm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
     col_stride: usize,
 ) {
     let g = 2 * V::LANES;
-    prefetch_read(panel.add(row0 * row_stride));
+    let (a_i, a_k) = (a_i as isize, a_k as isize);
+    let (row0, rs, cs) = (row0 as isize, row_stride as isize, col_stride as isize);
+    prefetch_read(panel.offset(row0 * rs));
     let mut acc = [[CVec::<V>::zero(); NR]; MR];
 
     let mut tri = pa_tri;
@@ -176,36 +173,27 @@ pub unsafe fn ctrmm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
             let lij = CVec::<V>::load(tri);
             tri = tri.add(g);
             for col in 0..NR {
-                let x =
-                    CVec::<V>::load(panel.add((row0 + j) * row_stride + col * col_stride));
+                let x = CVec::<V>::load(panel.offset((row0 + j as isize) * rs + col as isize * cs));
                 acc[i][col] = acc[i][col].fma(lij, x);
             }
         }
     }
 
-    let mut k = 0usize;
-    while k < kk {
-        let a = {
-            let mut out = [CVec::<V>::zero(); MR];
-            for (i, o) in out.iter_mut().enumerate() {
-                *o = CVec::load(pa_rect.add(i * a_i));
-            }
-            out
-        };
-        pa_rect = pa_rect.add(a_k);
+    for k in 0..kk as isize {
+        let a = load_cset::<V, MR>(pa_rect, a_i);
+        pa_rect = pa_rect.wrapping_offset(a_k);
+        let x = load_cset::<V, NR>(panel.offset(k * rs), cs);
         for i in 0..MR {
             for j in 0..NR {
-                let x = CVec::<V>::load(panel.add(k * row_stride + j * col_stride));
-                acc[i][j] = acc[i][j].fma(a[i], x);
+                acc[i][j] = acc[i][j].fma(a[i], x[j]);
             }
         }
-        k += 1;
     }
 
     for (i, row) in acc.iter().enumerate() {
         for (j, cell) in row.iter().enumerate() {
             cell.scale(alpha[0], alpha[1])
-                .store(panel.add((row0 + i) * row_stride + j * col_stride));
+                .store(panel.offset((row0 + i as isize) * rs + j as isize * cs));
         }
     }
 }
@@ -330,5 +318,60 @@ mod tests {
         assert!((panel[1] - 3.0).abs() < 1e-14);
         assert!((panel[2] - 2.5).abs() < 1e-14);
         assert!((panel[3] + 0.5).abs() < 1e-14);
+    }
+
+    /// A reversed mode streams its panel and rect strip from the stored
+    /// last row downwards: negative strides (two's complement in `usize`)
+    /// must produce bit-for-bit what the ascending walk over the mirrored
+    /// buffers produces, in debug builds too.
+    #[test]
+    fn descending_walk_matches_ascending() {
+        const MR: usize = 3;
+        const NR: usize = 2;
+        let (p, kk) = (F64x2::LANES, 5usize);
+        let rows = kk + MR;
+        let mut rng = TestRng::new(77);
+        let rect: Vec<f64> = (0..kk * MR * p).map(|_| rng.next()).collect();
+        let tri: Vec<f64> = (0..MR * (MR + 1) / 2 * p).map(|_| rng.next()).collect();
+        let fwd0: Vec<f64> = (0..rows * NR * p).map(|_| rng.next()).collect();
+        let rs = NR * p;
+        // mirrored copies: panel rows and rect slivers in reverse order
+        let mirror = |v: &[f64], n: usize, len: usize| -> Vec<f64> {
+            (0..n)
+                .rev()
+                .flat_map(|r| v[r * len..(r + 1) * len].to_vec())
+                .collect()
+        };
+        let mut fwd = fwd0.clone();
+        let mut rev = mirror(&fwd0, rows, rs);
+        let rect_rev = mirror(&rect, kk, MR * p);
+        // SAFETY: both calls address exactly the `rows × NR` panel and the `kk` rect slivers built above — ascending from element 0, or descending from the last row / last sliver with negated strides.
+        unsafe {
+            trmm_ukr::<F64x2, MR, NR>(
+                kk,
+                1.5,
+                rect.as_ptr(),
+                p,
+                MR * p,
+                tri.as_ptr(),
+                fwd.as_mut_ptr(),
+                kk,
+                rs,
+                p,
+            );
+            trmm_ukr::<F64x2, MR, NR>(
+                kk,
+                1.5,
+                rect_rev.as_ptr().add((kk - 1) * MR * p),
+                p,
+                (MR * p).wrapping_neg(),
+                tri.as_ptr(),
+                rev.as_mut_ptr().add((rows - 1) * rs),
+                kk,
+                rs.wrapping_neg(),
+                p,
+            );
+        }
+        assert_eq!(mirror(&rev, rows, rs), fwd);
     }
 }

@@ -32,6 +32,13 @@ use iatf_simd::{prefetch_read, CVec, SimdReal};
 /// sliver (`a_i` between rows, `a_k` between k-steps); `pa_tri` is the
 /// packed triangle (row `r` holds `r+1` vector groups, reciprocal diagonal
 /// last); the panel is addressed as `panel + row·row_stride + col·col_stride`.
+///
+/// The four strides are **signed** steps carried in `usize` parameters (a
+/// negative step is passed as its two's-complement value): the planners
+/// stream reversed modes in place by pointing `panel` / `pa_rect` at the
+/// stored *last* row and walking down. Kernel bodies reinterpret them as
+/// `isize` on entry, so a descending walk is defined behaviour in debug and
+/// release alike.
 // SAFETY: unsafe fn type — callers must pass packed-triangle/rect/panel pointers valid for the extents implied by (kk, MR, NR, strides) per the addressing contract above.
 pub type RealTrsmKernel<R> = unsafe fn(
     kk: usize,
@@ -55,11 +62,14 @@ pub type RealTrsmRectKernel<R> = RealTrsmKernel<R>;
 pub type CplxTrsmRectKernel<R> = RealTrsmKernel<R>;
 
 #[inline(always)]
-// SAFETY: unsafe fn — `p` must be valid for the whole strided extent (`(N-1)*stride + LANES` scalars); each lane load stays inside it.
-unsafe fn load_set<V: SimdReal, const N: usize>(p: *const V::Scalar, stride: usize) -> [V; N] {
+// SAFETY: unsafe fn — `p + i·stride` (signed) must be valid for `LANES` scalars for every `i < N`; each lane load stays inside that extent.
+pub(crate) unsafe fn load_set<V: SimdReal, const N: usize>(
+    p: *const V::Scalar,
+    stride: isize,
+) -> [V; N] {
     let mut out = [V::zero(); N];
     for (i, o) in out.iter_mut().enumerate() {
-        *o = V::load(p.add(i * stride));
+        *o = V::load(p.offset(i as isize * stride));
     }
     out
 }
@@ -81,14 +91,15 @@ fn fms_tile<V: SimdReal, const MR: usize, const NR: usize>(
 // SAFETY: unsafe fn — `panel` must cover rows `row0..row0+MR` and `NR` columns at the given strides; every lane access stays inside that block.
 unsafe fn load_block<V: SimdReal, const MR: usize, const NR: usize>(
     panel: *const V::Scalar,
-    row0: usize,
-    row_stride: usize,
-    col_stride: usize,
+    row0: isize,
+    row_stride: isize,
+    col_stride: isize,
 ) -> [[V; NR]; MR] {
     let mut acc = [[V::zero(); NR]; MR];
     for (i, row) in acc.iter_mut().enumerate() {
         for (j, cell) in row.iter_mut().enumerate() {
-            *cell = V::load(panel.add((row0 + i) * row_stride + j * col_stride));
+            *cell =
+                V::load(panel.offset((row0 + i as isize) * row_stride + j as isize * col_stride));
         }
     }
     acc
@@ -99,29 +110,29 @@ unsafe fn load_block<V: SimdReal, const MR: usize, const NR: usize>(
 unsafe fn store_block<V: SimdReal, const MR: usize, const NR: usize>(
     acc: &[[V; NR]; MR],
     panel: *mut V::Scalar,
-    row0: usize,
-    row_stride: usize,
-    col_stride: usize,
+    row0: isize,
+    row_stride: isize,
+    col_stride: isize,
 ) {
     for (i, row) in acc.iter().enumerate() {
         for (j, cell) in row.iter().enumerate() {
-            cell.store(panel.add((row0 + i) * row_stride + j * col_stride));
+            cell.store(panel.offset((row0 + i as isize) * row_stride + j as isize * col_stride));
         }
     }
 }
 
 /// Rectangular elimination `acc -= Rect · X[0..kk]`, ping-pong pipelined.
 #[inline(always)]
-// SAFETY: unsafe fn — `pa`/`panel` must cover `kk` k-steps at the given strides; the ping-pong loads below never exceed step `kk-1`.
+// SAFETY: unsafe fn — `pa`/`panel` must cover `kk` k-steps at the given signed strides; the ping-pong loads below never exceed step `kk-1` (the cursor itself advances with wrapping arithmetic, so stepping it past the last sliver is not an access).
 unsafe fn rect_eliminate<V: SimdReal, const MR: usize, const NR: usize>(
     acc: &mut [[V; NR]; MR],
     kk: usize,
     mut pa: *const V::Scalar,
-    a_i: usize,
-    a_k: usize,
+    a_i: isize,
+    a_k: isize,
     panel: *const V::Scalar,
-    row_stride: usize,
-    col_stride: usize,
+    row_stride: isize,
+    col_stride: isize,
 ) {
     if kk == 0 {
         return;
@@ -134,29 +145,29 @@ unsafe fn rect_eliminate<V: SimdReal, const MR: usize, const NR: usize>(
     }
     // Two-deep pipeline over the solved rows.
     let mut a0 = load_set::<V, MR>(pa, a_i);
-    let mut a1 = load_set::<V, MR>(pa.add(a_k), a_i);
-    pa = pa.add(2 * a_k);
+    let mut a1 = load_set::<V, MR>(pa.offset(a_k), a_i);
+    pa = pa.wrapping_offset(2 * a_k);
     let mut x0 = load_set::<V, NR>(panel, col_stride);
-    let mut x1 = load_set::<V, NR>(panel.add(row_stride), col_stride);
-    let mut xrow = 2usize;
+    let mut x1 = load_set::<V, NR>(panel.offset(row_stride), col_stride);
+    let mut xrow = 2isize;
     fms_tile(acc, &a0, &x0);
     let mut remaining = kk - 1;
     while remaining >= 3 {
         a0 = load_set::<V, MR>(pa, a_i);
-        x0 = load_set::<V, NR>(panel.add(xrow * row_stride), col_stride);
-        pa = pa.add(a_k);
+        x0 = load_set::<V, NR>(panel.offset(xrow * row_stride), col_stride);
+        pa = pa.wrapping_offset(a_k);
         xrow += 1;
         fms_tile(acc, &a1, &x1);
         a1 = load_set::<V, MR>(pa, a_i);
-        x1 = load_set::<V, NR>(panel.add(xrow * row_stride), col_stride);
-        pa = pa.add(a_k);
+        x1 = load_set::<V, NR>(panel.offset(xrow * row_stride), col_stride);
+        pa = pa.wrapping_offset(a_k);
         xrow += 1;
         fms_tile(acc, &a0, &x0);
         remaining -= 2;
     }
     if remaining == 2 {
         a0 = load_set::<V, MR>(pa, a_i);
-        x0 = load_set::<V, NR>(panel.add(xrow * row_stride), col_stride);
+        x0 = load_set::<V, NR>(panel.offset(xrow * row_stride), col_stride);
         fms_tile(acc, &a1, &x1);
         fms_tile(acc, &a0, &x0);
     } else {
@@ -190,11 +201,12 @@ unsafe fn tri_solve<V: SimdReal, const MR: usize, const NR: usize>(
 }
 
 /// Fused TRSM block kernel: rectangular elimination + triangular solve,
-/// in place on the packed panel.
+/// in place on the panel.
 ///
 /// # Safety
 /// `pa_rect` must cover `kk` strided slivers of `MR` groups, `pa_tri` the
-/// packed `MR`-row triangle, and the panel rows `0..row0+MR` × `NR` columns.
+/// packed `MR`-row triangle, and the panel rows `0..row0+MR` × `NR` columns
+/// — all at the given strides, read as signed (see [`RealTrsmKernel`]).
 #[inline(always)]
 pub unsafe fn trsm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
     kk: usize,
@@ -207,13 +219,13 @@ pub unsafe fn trsm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
     row_stride: usize,
     col_stride: usize,
 ) {
-    prefetch_read(panel.add(row0 * row_stride));
-    let mut acc = load_block::<V, MR, NR>(panel, row0, row_stride, col_stride);
-    rect_eliminate::<V, MR, NR>(
-        &mut acc, kk, pa_rect, a_i, a_k, panel, row_stride, col_stride,
-    );
+    let (a_i, a_k) = (a_i as isize, a_k as isize);
+    let (row0, rs, cs) = (row0 as isize, row_stride as isize, col_stride as isize);
+    prefetch_read(panel.offset(row0 * rs));
+    let mut acc = load_block::<V, MR, NR>(panel, row0, rs, cs);
+    rect_eliminate::<V, MR, NR>(&mut acc, kk, pa_rect, a_i, a_k, panel, rs, cs);
     tri_solve::<V, MR, NR>(&mut acc, pa_tri);
-    store_block::<V, MR, NR>(&acc, panel, row0, row_stride, col_stride);
+    store_block::<V, MR, NR>(&acc, panel, row0, rs, cs);
 }
 
 /// Rectangular-only TRSM kernel: `B[row0..row0+MR] -= Rect · X[0..kk]`.
@@ -232,11 +244,11 @@ pub unsafe fn trsm_rect_ukr<V: SimdReal, const MR: usize, const NR: usize>(
     row_stride: usize,
     col_stride: usize,
 ) {
-    let mut acc = load_block::<V, MR, NR>(panel, row0, row_stride, col_stride);
-    rect_eliminate::<V, MR, NR>(
-        &mut acc, kk, pa_rect, a_i, a_k, panel, row_stride, col_stride,
-    );
-    store_block::<V, MR, NR>(&acc, panel, row0, row_stride, col_stride);
+    let (a_i, a_k) = (a_i as isize, a_k as isize);
+    let (row0, rs, cs) = (row0 as isize, row_stride as isize, col_stride as isize);
+    let mut acc = load_block::<V, MR, NR>(panel, row0, rs, cs);
+    rect_eliminate::<V, MR, NR>(&mut acc, kk, pa_rect, a_i, a_k, panel, rs, cs);
+    store_block::<V, MR, NR>(&acc, panel, row0, rs, cs);
 }
 
 // ---------------------------------------------------------------------------
@@ -244,14 +256,14 @@ pub unsafe fn trsm_rect_ukr<V: SimdReal, const MR: usize, const NR: usize>(
 // ---------------------------------------------------------------------------
 
 #[inline(always)]
-// SAFETY: unsafe fn — `p` must be valid for the whole strided extent (`(N-1)*stride + LANES` scalars); each lane load stays inside it.
-unsafe fn load_cset<V: SimdReal, const N: usize>(
+// SAFETY: unsafe fn — `p + i·stride` (signed) must be valid for `2·LANES` scalars for every `i < N`; each lane load stays inside that extent.
+pub(crate) unsafe fn load_cset<V: SimdReal, const N: usize>(
     p: *const V::Scalar,
-    stride: usize,
+    stride: isize,
 ) -> [CVec<V>; N] {
     let mut out = [CVec::<V>::zero(); N];
     for (i, o) in out.iter_mut().enumerate() {
-        *o = CVec::load(p.add(i * stride));
+        *o = CVec::load(p.offset(i as isize * stride));
     }
     out
 }
@@ -265,6 +277,41 @@ fn cfms_tile<V: SimdReal, const MR: usize, const NR: usize>(
     for i in 0..MR {
         for j in 0..NR {
             acc[i][j] = acc[i][j].fms(a[i], x[j]);
+        }
+    }
+}
+
+#[inline(always)]
+// SAFETY: unsafe fn — `panel` must cover rows `row0..row0+MR` and `NR` columns of `2·LANES`-scalar groups at the given signed strides; every access stays inside that block.
+unsafe fn load_cblock<V: SimdReal, const MR: usize, const NR: usize>(
+    panel: *const V::Scalar,
+    row0: isize,
+    row_stride: isize,
+    col_stride: isize,
+) -> [[CVec<V>; NR]; MR] {
+    let mut acc = [[CVec::<V>::zero(); NR]; MR];
+    for (i, row) in acc.iter_mut().enumerate() {
+        for (j, cell) in row.iter_mut().enumerate() {
+            *cell = CVec::load(
+                panel.offset((row0 + i as isize) * row_stride + j as isize * col_stride),
+            );
+        }
+    }
+    acc
+}
+
+#[inline(always)]
+// SAFETY: unsafe fn — as `load_cblock`, for writes.
+unsafe fn store_cblock<V: SimdReal, const MR: usize, const NR: usize>(
+    acc: &[[CVec<V>; NR]; MR],
+    panel: *mut V::Scalar,
+    row0: isize,
+    row_stride: isize,
+    col_stride: isize,
+) {
+    for (i, row) in acc.iter().enumerate() {
+        for (j, cell) in row.iter().enumerate() {
+            cell.store(panel.offset((row0 + i as isize) * row_stride + j as isize * col_stride));
         }
     }
 }
@@ -285,45 +332,42 @@ pub unsafe fn ctrsm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
     row_stride: usize,
     col_stride: usize,
 ) {
-    prefetch_read(panel.add(row0 * row_stride));
+    let (a_i, a_k) = (a_i as isize, a_k as isize);
+    let (row0, rs, cs) = (row0 as isize, row_stride as isize, col_stride as isize);
+    prefetch_read(panel.offset(row0 * rs));
     let g = 2 * V::LANES;
-    let mut acc = [[CVec::<V>::zero(); NR]; MR];
-    for (i, row) in acc.iter_mut().enumerate() {
-        for (j, cell) in row.iter_mut().enumerate() {
-            *cell = CVec::load(panel.add((row0 + i) * row_stride + j * col_stride));
-        }
-    }
+    let mut acc = load_cblock::<V, MR, NR>(panel, row0, rs, cs);
 
     // Rectangular phase (two-deep pipelined for kk ≥ 2).
     if kk == 1 {
         let a0 = load_cset::<V, MR>(pa_rect, a_i);
-        let x0 = load_cset::<V, NR>(panel, col_stride);
+        let x0 = load_cset::<V, NR>(panel, cs);
         cfms_tile(&mut acc, &a0, &x0);
     } else if kk >= 2 {
         let mut a0 = load_cset::<V, MR>(pa_rect, a_i);
-        let mut a1 = load_cset::<V, MR>(pa_rect.add(a_k), a_i);
-        pa_rect = pa_rect.add(2 * a_k);
-        let mut x0 = load_cset::<V, NR>(panel, col_stride);
-        let mut x1 = load_cset::<V, NR>(panel.add(row_stride), col_stride);
-        let mut xrow = 2usize;
+        let mut a1 = load_cset::<V, MR>(pa_rect.offset(a_k), a_i);
+        pa_rect = pa_rect.wrapping_offset(2 * a_k);
+        let mut x0 = load_cset::<V, NR>(panel, cs);
+        let mut x1 = load_cset::<V, NR>(panel.offset(rs), cs);
+        let mut xrow = 2isize;
         cfms_tile(&mut acc, &a0, &x0);
         let mut remaining = kk - 1;
         while remaining >= 3 {
             a0 = load_cset::<V, MR>(pa_rect, a_i);
-            x0 = load_cset::<V, NR>(panel.add(xrow * row_stride), col_stride);
-            pa_rect = pa_rect.add(a_k);
+            x0 = load_cset::<V, NR>(panel.offset(xrow * rs), cs);
+            pa_rect = pa_rect.wrapping_offset(a_k);
             xrow += 1;
             cfms_tile(&mut acc, &a1, &x1);
             a1 = load_cset::<V, MR>(pa_rect, a_i);
-            x1 = load_cset::<V, NR>(panel.add(xrow * row_stride), col_stride);
-            pa_rect = pa_rect.add(a_k);
+            x1 = load_cset::<V, NR>(panel.offset(xrow * rs), cs);
+            pa_rect = pa_rect.wrapping_offset(a_k);
             xrow += 1;
             cfms_tile(&mut acc, &a0, &x0);
             remaining -= 2;
         }
         if remaining == 2 {
             a0 = load_cset::<V, MR>(pa_rect, a_i);
-            x0 = load_cset::<V, NR>(panel.add(xrow * row_stride), col_stride);
+            x0 = load_cset::<V, NR>(panel.offset(xrow * rs), cs);
             cfms_tile(&mut acc, &a1, &x1);
             cfms_tile(&mut acc, &a0, &x0);
         } else {
@@ -348,11 +392,7 @@ pub unsafe fn ctrsm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
         }
     }
 
-    for (i, row) in acc.iter().enumerate() {
-        for (j, cell) in row.iter().enumerate() {
-            cell.store(panel.add((row0 + i) * row_stride + j * col_stride));
-        }
-    }
+    store_cblock::<V, MR, NR>(&acc, panel, row0, rs, cs);
 }
 
 /// Rectangular-only complex TRSM kernel.
@@ -371,26 +411,19 @@ pub unsafe fn ctrsm_rect_ukr<V: SimdReal, const MR: usize, const NR: usize>(
     row_stride: usize,
     col_stride: usize,
 ) {
-    let mut acc = [[CVec::<V>::zero(); NR]; MR];
-    for (i, row) in acc.iter_mut().enumerate() {
-        for (j, cell) in row.iter_mut().enumerate() {
-            *cell = CVec::load(panel.add((row0 + i) * row_stride + j * col_stride));
-        }
-    }
+    let (a_i, a_k) = (a_i as isize, a_k as isize);
+    let (row0, rs, cs) = (row0 as isize, row_stride as isize, col_stride as isize);
+    let mut acc = load_cblock::<V, MR, NR>(panel, row0, rs, cs);
     // Reuse the simple path: complex rect elimination without pipelining
     // subtleties is still correct for the ablation's purposes.
     let mut pa = pa_rect;
-    for k in 0..kk {
+    for k in 0..kk as isize {
         let a = load_cset::<V, MR>(pa, a_i);
-        let x = load_cset::<V, NR>(panel.add(k * row_stride), col_stride);
+        let x = load_cset::<V, NR>(panel.offset(k * rs), cs);
         cfms_tile(&mut acc, &a, &x);
-        pa = pa.add(a_k);
+        pa = pa.wrapping_offset(a_k);
     }
-    for (i, row) in acc.iter().enumerate() {
-        for (j, cell) in row.iter().enumerate() {
-            cell.store(panel.add((row0 + i) * row_stride + j * col_stride));
-        }
-    }
+    store_cblock::<V, MR, NR>(&acc, panel, row0, rs, cs);
 }
 
 #[cfg(test)]
@@ -656,6 +689,82 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Reversed modes solve in place from the stored last row downwards:
+    /// negative strides (two's complement in `usize`) must give bit-for-bit
+    /// the ascending result over mirrored buffers, in debug builds too.
+    #[test]
+    fn descending_walk_matches_ascending() {
+        fn mirror<T: Copy>(v: &[T], n: usize, len: usize) -> Vec<T> {
+            (0..n)
+                .rev()
+                .flat_map(|r| v[r * len..(r + 1) * len].to_vec())
+                .collect()
+        }
+        fn run<V: SimdReal, const MR: usize, const NR: usize>(cplx: bool, kk: usize) {
+            let g = if cplx { 2 * V::LANES } else { V::LANES };
+            let rows = kk + MR;
+            let mut rng = TestRng::new((MR * 7 + NR + kk) as u64);
+            let mut gen = |n: usize, scale: f64| -> Vec<V::Scalar> {
+                (0..n)
+                    .map(|_| V::Scalar::from_f64(0.5 + scale * rng.next()))
+                    .collect()
+            };
+            let rect = gen(kk * MR * g, 0.1);
+            let tri = gen(MR * (MR + 1) / 2 * g, 0.1);
+            let fwd0 = gen(rows * NR * g, 1.0);
+            let rs = NR * g;
+            let mut fwd = fwd0.clone();
+            let mut rev = mirror(&fwd0, rows, rs);
+            let rect_rev = mirror(&rect, kk, MR * g);
+            let kernel = if cplx {
+                ctrsm_ukr::<V, MR, NR>
+            } else {
+                trsm_ukr::<V, MR, NR>
+            };
+            // `kk == 0` never reads the rect strip, so its start pointer is as good as any
+            let last_sliver = kk.saturating_sub(1) * MR * g;
+            // SAFETY: both calls address exactly the `rows × NR` panel and the `kk` rect slivers built above — ascending from element 0, or descending from the last row / last sliver with negated strides.
+            unsafe {
+                kernel(
+                    kk,
+                    rect.as_ptr(),
+                    g,
+                    MR * g,
+                    tri.as_ptr(),
+                    fwd.as_mut_ptr(),
+                    kk,
+                    rs,
+                    g,
+                );
+                kernel(
+                    kk,
+                    rect_rev.as_ptr().add(last_sliver),
+                    g,
+                    (MR * g).wrapping_neg(),
+                    tri.as_ptr(),
+                    rev.as_mut_ptr().add((rows - 1) * rs),
+                    kk,
+                    rs.wrapping_neg(),
+                    g,
+                );
+            }
+            let back = mirror(&rev, rows, rs);
+            for (a, b) in back.iter().zip(&fwd) {
+                assert_eq!(
+                    a.to_f64().to_bits(),
+                    b.to_f64().to_bits(),
+                    "{MR}x{NR} kk={kk} cplx={cplx}"
+                );
+            }
+        }
+        for kk in [0usize, 1, 2, 3, 4, 7] {
+            run::<F64x2, 4, 4>(false, kk);
+            run::<F32x4, 3, 2>(false, kk);
+            run::<F64x2, 2, 2>(true, kk);
+            run::<F32x4, 1, 2>(true, kk);
         }
     }
 }

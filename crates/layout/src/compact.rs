@@ -70,10 +70,23 @@ impl<E: Element> CompactBatch<E> {
     /// vector width.
     pub fn from_std_at(src: &StdBatch<E>, width: VecWidth) -> Self {
         let mut dst = Self::zeroed_at(src.rows(), src.cols(), src.count(), width);
-        for v in 0..src.count() {
-            for j in 0..src.cols() {
-                for i in 0..src.rows() {
-                    dst.set(v, i, j, src.get(v, i, j));
+        let (p, g, ps) = (dst.p(), dst.group(), dst.pack_stride());
+        if ps == 0 {
+            return dst; // a zero dimension: nothing to interleave
+        }
+        // Pack-major: a matrix's column-major element index *is* its group
+        // index inside the pack, so each live lane is one pass over the
+        // source matrix writing every `g`-th scalar of the pack. Padding
+        // lanes of the last pack keep their zeros.
+        for (pack, chunk) in dst.data.chunks_mut(ps).enumerate() {
+            let live = p.min(src.count() - pack * p);
+            for lane in 0..live {
+                let mat = src.mat(pack * p + lane);
+                for (group, x) in chunk.chunks_exact_mut(g).zip(mat) {
+                    group[lane] = x.re();
+                    if E::IS_COMPLEX {
+                        group[p + lane] = x.im();
+                    }
                 }
             }
         }
@@ -92,10 +105,24 @@ impl<E: Element> CompactBatch<E> {
     pub fn unpack_into(&self, dst: &mut StdBatch<E>) {
         assert_eq!(dst.shape(), (self.rows, self.cols));
         assert_eq!(dst.count(), self.count);
-        for v in 0..self.count {
-            for j in 0..self.cols {
-                for i in 0..self.rows {
-                    dst.set(v, i, j, self.get(v, i, j));
+        let (p, g, ps) = (self.p(), self.group(), self.pack_stride());
+        if ps == 0 {
+            return;
+        }
+        // The mirror of `from_std_at`: per pack, per live lane, one pass
+        // over the destination matrix reading every `g`-th scalar.
+        for (pack, chunk) in self.data.chunks(ps).enumerate() {
+            let live = p.min(self.count - pack * p);
+            for lane in 0..live {
+                let mat = dst.mat_mut(pack * p + lane);
+                for (x, group) in mat.iter_mut().zip(chunk.chunks_exact(g)) {
+                    let im = if E::IS_COMPLEX {
+                        group[p + lane].to_f64()
+                    } else {
+                        0.0
+                    };
+                    // widening then narrowing the same scalar is exact
+                    *x = E::from_f64s(group[lane].to_f64(), im);
                 }
             }
         }
@@ -327,6 +354,53 @@ mod tests {
             check::<f64>(width);
             check::<c32>(width);
             check::<c64>(width);
+        }
+    }
+
+    #[test]
+    fn round_trip_counts_around_a_pack_and_padding_stays_zero() {
+        fn check<E: Element>(width: VecWidth) {
+            let p = E::p_at(width);
+            for count in [1, p.saturating_sub(1).max(1), p + 1] {
+                let src = StdBatch::<E>::random(4, 3, count, 7 + count as u64);
+                let compact = CompactBatch::from_std_at(&src, width);
+                // element by element against the indexed accessor
+                for v in 0..count {
+                    for j in 0..3 {
+                        for i in 0..4 {
+                            assert_eq!(compact.get(v, i, j), src.get(v, i, j));
+                        }
+                    }
+                }
+                // dead lanes of the last pack are untouched zeros
+                let last = compact.pack_slice(compact.packs() - 1);
+                let live = p - compact.padding_lanes();
+                for group in last.chunks_exact(compact.group()) {
+                    for half in group.chunks_exact(p) {
+                        assert!(half[live..].iter().all(|&x| x == E::Real::ZERO));
+                    }
+                }
+                let mut back = StdBatch::<E>::random(4, 3, count, 1);
+                compact.unpack_into(&mut back);
+                assert_eq!(back, src, "{:?} {width:?} count={count}", E::DTYPE);
+            }
+        }
+        for width in VecWidth::ALL {
+            check::<f32>(width);
+            check::<f64>(width);
+            check::<c32>(width);
+            check::<c64>(width);
+        }
+    }
+
+    #[test]
+    fn zero_dimension_converts_to_an_empty_batch() {
+        // pack stride 0: there is no chunk to walk
+        for (rows, cols) in [(0usize, 3usize), (3, 0)] {
+            let src = StdBatch::<c32>::zeroed(rows, cols, 5);
+            let compact = CompactBatch::from_std_at(&src, VecWidth::W256);
+            assert_eq!((compact.pack_stride(), compact.as_scalars().len()), (0, 0));
+            assert_eq!(compact.to_std(), src);
         }
     }
 

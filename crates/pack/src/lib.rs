@@ -19,10 +19,12 @@
 //!   solves *left–lower–non-transposed* systems; diagonal entries are stored
 //!   as reciprocals so the kernel never divides ([`trsm`]).
 //!
-//! The *no-pack* strategy (§4.4) is represented by [`gemm::direct_strides`]:
-//! because the compute kernels take runtime strides, any non-conjugated
-//! operand can be streamed straight out of the compact layout; the run-time
-//! stage's Pack Selecter decides when that is profitable.
+//! The *no-pack* strategy (§4.4) is pure stride geometry and lives here
+//! beside the packers: [`gemm::DirectAccess`] for GEMM operands,
+//! [`trsm::InPlaceAccess`] for the canonical B̂ panels and Â strips of every
+//! triangular mode. Because the compute kernels take runtime (signed)
+//! strides, any non-conjugated operand can be streamed straight out of the
+//! compact layout; the run-time stage's Pack Selecter does so by default.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -24,6 +24,18 @@
 //! reads the stored diagonal. The α of `op(A)·X = α·B` is applied while
 //! packing B.
 //!
+//! Every one of those maps is *affine* in the canonical indices, so none of
+//! this needs a copy: [`TrsmIndexMap::b_in_place`] and
+//! [`TrsmIndexMap::a_rect_in_place`] express B̂ and Â's rectangular strips as
+//! a base offset plus two signed strides into the stored pack
+//! ([`InPlaceAccess`] — the right side swaps the row and column steps,
+//! reversal starts at the stored last row and walks down). The planners
+//! stream both operands through those strides and pack only the diagonal
+//! blocks' triangles ([`a_layout_diag`] / [`pack_a_diag`]), which need the
+//! reciprocal and the padded-lane ones; the full packers below remain the
+//! `PackPolicy::Always` reference path and serve conjugated A, since
+//! conjugation is not a stride.
+//!
 //! These packers work on raw pack slices, so the interleaving factor `p`
 //! (lanes per element group — a property of the batch's vector width) is an
 //! explicit parameter throughout; callers pass `CompactBatch::p()`.
@@ -99,6 +111,109 @@ impl TrsmIndexMap {
             (ii, j)
         }
     }
+
+    /// Rows of the stored B (`m`): the triangle order on the left side, the
+    /// canonical column count on the right.
+    #[inline]
+    fn b_rows(&self) -> usize {
+        if self.side_right {
+            self.bn
+        } else {
+            self.t
+        }
+    }
+
+    /// In-place addressing of the B̂ column panel starting at canonical
+    /// column `j0` (canonical rows `0..t`) inside one stored pack of B.
+    /// The right side swaps the two steps; reversal starts at stored row
+    /// `t − 1` and steps down.
+    pub fn b_in_place<E: Element>(&self, p: usize, j0: usize) -> InPlaceAccess {
+        let g = group_len::<E>(p) as isize;
+        let rows = self.b_rows();
+        let (r, c) = self.b_src(0, j0);
+        let (along_i, along_j) = if self.side_right {
+            (rows as isize * g, g)
+        } else {
+            (g, rows as isize * g)
+        };
+        InPlaceAccess {
+            base: (c * rows + r) * group_len::<E>(p),
+            row: if self.reversed { -along_i } else { along_i },
+            col: along_j,
+        }
+    }
+
+    /// In-place addressing of the rectangular strip `Â(r0 + i, k)`, `k <
+    /// r0`, of the diagonal block starting at canonical row `r0`, inside one
+    /// stored pack of A: `row` steps `i`, `col` steps `k`. `flip` swaps the
+    /// two steps, `reversed` negates both.
+    pub fn a_rect_in_place<E: Element>(&self, p: usize, r0: usize) -> InPlaceAccess {
+        let g = group_len::<E>(p) as isize;
+        let (r, c) = self.a_src(r0, 0);
+        let (along_i, along_k) = if self.flip {
+            (self.t as isize * g, g)
+        } else {
+            (g, self.t as isize * g)
+        };
+        let sign = if self.reversed { -1 } else { 1 };
+        InPlaceAccess {
+            base: (c * self.t + r) * group_len::<E>(p),
+            row: sign * along_i,
+            col: sign * along_k,
+        }
+    }
+}
+
+/// Affine addressing of a canonical operand region inside one stored pack:
+/// the element group at canonical `(i, j)` of the region starts at scalar
+/// `base + i·row + j·col` of the pack. Steps are signed — a reversed mode
+/// walks the stored rows downwards — and are handed to the kernels as their
+/// two's-complement `usize` ([`InPlaceAccess::row_stride`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct InPlaceAccess {
+    /// Scalar offset of the region's canonical `(0, 0)` from the pack start.
+    pub base: usize,
+    /// Signed scalar step between consecutive canonical rows.
+    pub row: isize,
+    /// Signed scalar step between consecutive canonical columns.
+    pub col: isize,
+}
+
+impl InPlaceAccess {
+    /// Row step as the kernel shims take it (two's complement in `usize`).
+    #[inline]
+    pub fn row_stride(&self) -> usize {
+        self.row as usize
+    }
+
+    /// Column step as the kernel shims take it.
+    #[inline]
+    pub fn col_stride(&self) -> usize {
+        self.col as usize
+    }
+
+    /// Scalar offset of canonical `(i, j)` from the pack start.
+    #[inline]
+    pub fn offset(&self, i: usize, j: usize) -> isize {
+        self.base as isize + i as isize * self.row + j as isize * self.col
+    }
+
+    /// Smallest and largest group start reached over canonical rows
+    /// `0..rows` and columns `0..cols` (both non-empty): the extremes of an
+    /// affine map sit at the corners.
+    pub fn envelope(&self, rows: usize, cols: usize) -> (isize, isize) {
+        let corners = [
+            self.offset(0, 0),
+            self.offset(rows - 1, 0),
+            self.offset(0, cols - 1),
+            self.offset(rows - 1, cols - 1),
+        ];
+        corners
+            .into_iter()
+            .fold((isize::MAX, isize::MIN), |(lo, hi), o| {
+                (lo.min(o), hi.max(o))
+            })
+    }
 }
 
 /// Placement of one diagonal block's packed data inside the A buffer.
@@ -120,12 +235,33 @@ pub struct ABlockLayout {
 /// packed/consumed, all rows above it already are — paper §4.4's
 /// requirement for the solve ordering).
 pub fn a_layout<E: Element>(p: usize, blocks: &[(usize, usize)]) -> (Vec<ABlockLayout>, usize) {
+    layout_with::<E>(p, blocks, true)
+}
+
+/// The triangle-only layout of in-place execution: the same blocks with
+/// **empty** rectangular strips (`rect_off == tri_off`; the strips are read
+/// in place through [`TrsmIndexMap::a_rect_in_place`]), so the buffer holds
+/// `Σ mb·(mb+1)/2` groups. Filled by [`pack_a_diag`].
+pub fn a_layout_diag<E: Element>(
+    p: usize,
+    blocks: &[(usize, usize)],
+) -> (Vec<ABlockLayout>, usize) {
+    layout_with::<E>(p, blocks, false)
+}
+
+fn layout_with<E: Element>(
+    p: usize,
+    blocks: &[(usize, usize)],
+    rect: bool,
+) -> (Vec<ABlockLayout>, usize) {
     let g = group_len::<E>(p);
     let mut out = Vec::with_capacity(blocks.len());
     let mut off = 0usize;
     for &(r0, mb) in blocks {
         let rect_off = off;
-        off += r0 * mb * g;
+        if rect {
+            off += r0 * mb * g;
+        }
         let tri_off = off;
         off += mb * (mb + 1) / 2 * g;
         out.push(ABlockLayout {
@@ -276,33 +412,70 @@ pub fn pack_a_tri<E: Element>(
                 off += g;
             }
         }
-        // triangle rows: Â(r0+i, r0+j), j ≤ i, reciprocal diagonal
-        let mut off = blk.tri_off;
-        for i in 0..blk.mb {
-            for j in 0..i {
-                write_group::<E>(
-                    p,
-                    &mut dst[off..off + g],
-                    sp,
-                    rows,
-                    map.a_src(blk.r0 + i, blk.r0 + j),
-                    map.conj,
-                );
-                off += g;
-            }
-            write_diag_group::<E>(
+        pack_diag_block::<E>(dst, sp, rows, p, map, blk, live, recip);
+    }
+}
+
+/// Packs only the diagonal blocks' triangles (reciprocal or direct diagonal,
+/// identity in padded lanes) into an [`a_layout_diag`] buffer — all that
+/// in-place execution needs from A, whose rectangular strips the kernels
+/// read through [`TrsmIndexMap::a_rect_in_place`]. Group for group the
+/// triangles equal what [`pack_a_tri`] writes at each block's `tri_off`.
+#[allow(clippy::too_many_arguments)]
+pub fn pack_a_diag<E: Element>(
+    dst: &mut [E::Real],
+    sp: &[E::Real],
+    rows: usize,
+    p: usize,
+    map: &TrsmIndexMap,
+    layout: &[ABlockLayout],
+    live: usize,
+    recip: bool,
+) {
+    for blk in layout {
+        pack_diag_block::<E>(dst, sp, rows, p, map, blk, live, recip);
+    }
+}
+
+/// Triangle rows of one diagonal block: `Â(r0+i, r0+j)`, `j ≤ i`, at the
+/// block's `tri_off`.
+#[allow(clippy::too_many_arguments)]
+fn pack_diag_block<E: Element>(
+    dst: &mut [E::Real],
+    sp: &[E::Real],
+    rows: usize,
+    p: usize,
+    map: &TrsmIndexMap,
+    blk: &ABlockLayout,
+    live: usize,
+    recip: bool,
+) {
+    let g = group_len::<E>(p);
+    let mut off = blk.tri_off;
+    for i in 0..blk.mb {
+        for j in 0..i {
+            write_group::<E>(
                 p,
                 &mut dst[off..off + g],
                 sp,
                 rows,
-                map.a_src(blk.r0 + i, blk.r0 + i),
-                live,
-                map.unit,
+                map.a_src(blk.r0 + i, blk.r0 + j),
                 map.conj,
-                recip,
             );
             off += g;
         }
+        write_diag_group::<E>(
+            p,
+            &mut dst[off..off + g],
+            sp,
+            rows,
+            map.a_src(blk.r0 + i, blk.r0 + i),
+            live,
+            map.unit,
+            map.conj,
+            recip,
+        );
+        off += g;
     }
 }
 
@@ -327,6 +500,16 @@ fn scale_group<E: Element>(p: usize, dst: &mut [E::Real], alpha: E) {
         for x in dst.iter_mut() {
             *x *= a;
         }
+    }
+}
+
+/// Scales every element group of one stored pack of B by α, in place — the
+/// α ≠ 1 step of an in-place solve. Each group gets the very product
+/// [`pack_b_panel`] computes while copying it, so the scaled values are
+/// bitwise-equal to the packed path's.
+pub fn scale_b_in_place<E: Element>(p: usize, b_pack: &mut [E::Real], alpha: E) {
+    for group in b_pack.chunks_exact_mut(group_len::<E>(p)) {
+        scale_group::<E>(p, group, alpha);
     }
 }
 
@@ -666,6 +849,172 @@ mod tests {
                     // i·(a+bi) = -b + ai
                     assert!((got_re + src.im).abs() < 1e-15);
                     assert!((got_im - src.re).abs() < 1e-15);
+                }
+            }
+        }
+    }
+
+    /// Panels of width ≤ `nr` over `bn` canonical columns, as the planners
+    /// tile them.
+    fn panels(bn: usize, nr: usize) -> Vec<(usize, usize)> {
+        (0..bn)
+            .step_by(nr)
+            .map(|j0| (j0, nr.min(bn - j0)))
+            .collect()
+    }
+
+    #[test]
+    fn in_place_addresses_stay_inside_the_pack_and_match_the_maps() {
+        // For every mode, block and panel: the affine (base, strides)
+        // reach exactly the groups the index maps name, and the extremes
+        // over the extents lie inside the stored pack.
+        fn check<E: Element>(p: usize, tb: usize, t_max: usize, nr: usize) {
+            let g = group_len::<E>(p);
+            for mode in TrsmMode::all() {
+                for (m, n) in [(7usize, 3usize), (3, 7), (6, 6), (1, 5), (5, 1)] {
+                    let map = TrsmIndexMap::new(mode, false, m, n);
+                    let b_len = (m * n * g) as isize;
+                    for (j0, w) in panels(map.bn, nr) {
+                        let acc = map.b_in_place::<E>(p, j0);
+                        let (lo, hi) = acc.envelope(map.t, w);
+                        assert!(
+                            lo >= 0 && hi + g as isize <= b_len,
+                            "{mode} B {m}x{n} j0={j0}"
+                        );
+                        for i in 0..map.t {
+                            for j in 0..w {
+                                let (r, c) = map.b_src(i, j0 + j);
+                                assert_eq!(acc.offset(i, j), ((c * m + r) * g) as isize, "{mode}");
+                            }
+                        }
+                    }
+                    let a_len = (map.t * map.t * g) as isize;
+                    for (r0, mb) in block_decomposition(map.t, tb, t_max) {
+                        let acc = map.a_rect_in_place::<E>(p, r0);
+                        assert!((acc.base as isize) < a_len, "{mode} A base");
+                        if r0 == 0 {
+                            continue; // empty strip: the base alone is handed over
+                        }
+                        let (lo, hi) = acc.envelope(mb, r0);
+                        assert!(
+                            lo >= 0 && hi + g as isize <= a_len,
+                            "{mode} A {m}x{n} r0={r0}"
+                        );
+                        for i in 0..mb {
+                            for k in 0..r0 {
+                                let (r, c) = map.a_src(r0 + i, k);
+                                assert_eq!(
+                                    acc.offset(i, k),
+                                    ((c * map.t + r) * g) as isize,
+                                    "{mode} A({i},{k})"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        check::<f64>(2, 4, 5, 4);
+        check::<f32>(16, 4, 5, 4);
+        check::<c64>(2, 2, 2, 2);
+        check::<iatf_simd::c32>(8, 2, 2, 2);
+    }
+
+    #[test]
+    fn in_place_strides_follow_the_mode_table() {
+        // 5×3 B, f64 at P=2 (g = 2). Left: rows are contiguous; right: the
+        // steps swap; reversal negates the row step and starts at row t−1.
+        let g = 2isize;
+        let left = TrsmIndexMap::new(TrsmMode::LNLN, false, 5, 3).b_in_place::<f64>(2, 1);
+        assert_eq!((left.base, left.row, left.col), (5 * 2, g, 5 * g));
+        let rev = TrsmIndexMap::new(TrsmMode::LNUN, false, 5, 3).b_in_place::<f64>(2, 1);
+        assert_eq!((rev.base, rev.row, rev.col), ((5 + 4) * 2, -g, 5 * g));
+        assert_eq!(rev.row_stride(), (g as usize).wrapping_neg());
+        let right = TrsmMode::new(Side::Right, Trans::No, Uplo::Upper, Diag::NonUnit);
+        let r = TrsmIndexMap::new(right, false, 5, 3).b_in_place::<f64>(2, 1);
+        assert_eq!((r.base, r.row, r.col), (2, 5 * g, g));
+        // A (order 5): flip swaps the steps, reversal negates both.
+        let a = TrsmIndexMap::new(TrsmMode::LNLN, false, 5, 3).a_rect_in_place::<f64>(2, 4);
+        assert_eq!((a.base, a.row, a.col), (4 * 2, g, 5 * g));
+        let a = TrsmIndexMap::new(TrsmMode::LTUN, false, 5, 3).a_rect_in_place::<f64>(2, 4);
+        assert_eq!((a.base, a.row, a.col), (4 * 5 * 2, 5 * g, g));
+        let a = TrsmIndexMap::new(TrsmMode::LNUN, false, 5, 3).a_rect_in_place::<f64>(2, 4);
+        assert_eq!((a.base, a.row, a.col), (4 * 5 * 2, -g, -5 * g));
+    }
+
+    #[test]
+    fn diag_only_pack_equals_the_triangles_of_the_full_pack() {
+        let t = 9usize;
+        for mode in TrsmMode::all() {
+            for recip in [true, false] {
+                let std = StdBatch::<c64>::random_triangular(t, 2, mode.uplo, mode.diag, 8);
+                let compact = CompactBatch::from_std_at(&std, W);
+                let map = TrsmIndexMap::new(mode, true, t, t);
+                let blocks = block_decomposition(t, 2, 2);
+                let (full, full_len) = a_layout::<c64>(2, &blocks);
+                let (diag, diag_len) = a_layout_diag::<c64>(2, &blocks);
+                assert_eq!(
+                    diag_len,
+                    blocks.iter().map(|&(_, mb)| mb * (mb + 1) / 2 * 4).sum()
+                );
+                let mut want = vec![0.0f64; full_len];
+                let mut got = vec![0.0f64; diag_len];
+                pack_a_tri::<c64>(
+                    &mut want,
+                    compact.pack_slice(0),
+                    t,
+                    2,
+                    &map,
+                    &full,
+                    1,
+                    recip,
+                );
+                pack_a_diag::<c64>(&mut got, compact.pack_slice(0), t, 2, &map, &diag, 1, recip);
+                for (f, d) in full.iter().zip(&diag) {
+                    assert_eq!(d.rect_off, d.tri_off);
+                    let len = f.mb * (f.mb + 1) / 2 * 4;
+                    assert_eq!(
+                        &got[d.tri_off..d.tri_off + len],
+                        &want[f.tri_off..f.tri_off + len],
+                        "{mode} recip={recip}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_scaling_is_bitwise_the_packed_scaling() {
+        let (m, n) = (5usize, 4usize);
+        let std = StdBatch::<c64>::random(m, n, 2, 31);
+        let compact = CompactBatch::from_std_at(&std, W);
+        let alpha = c64::new(0.3, -1.7);
+        let mut scaled = compact.clone();
+        scale_b_in_place::<c64>(2, scaled.pack_slice_mut(0), alpha);
+        for mode in TrsmMode::all() {
+            let map = TrsmIndexMap::new(mode, false, m, n);
+            let mut panel = vec![0.0f64; panel_b_len::<c64>(2, map.t, map.bn)];
+            pack_b_panel(
+                &mut panel,
+                compact.pack_slice(0),
+                m,
+                2,
+                &map,
+                0,
+                map.bn,
+                alpha,
+            );
+            let acc = map.b_in_place::<c64>(2, 0);
+            for i in 0..map.t {
+                for j in 0..map.bn {
+                    let at = acc.offset(i, j) as usize;
+                    let want = &panel[(i * map.bn + j) * 4..(i * map.bn + j + 1) * 4];
+                    let got = &scaled.pack_slice(0)[at..at + 4];
+                    assert_eq!(
+                        got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        "{mode}"
+                    );
                 }
             }
         }

@@ -2,8 +2,9 @@
 //!
 //! The caller hands over one closure per candidate configuration (the
 //! first is, by convention, the heuristic baseline) and a wall-clock
-//! budget. The harness calibrates an iteration count off the baseline,
-//! then times every candidate in *interleaved rounds* — candidate order
+//! budget. The harness calibrates an iteration count off one warm-up round
+//! over *all* candidates (and charges that round to the budget), then
+//! times every candidate in *interleaved rounds* — candidate order
 //! repeats each round, so slow drift (frequency scaling, background
 //! load) hits all candidates roughly equally instead of biasing whoever
 //! ran last. Per candidate the best round wins (min-of-rounds discards
@@ -45,11 +46,14 @@ impl SweepReport {
 /// Runs every candidate closure in interleaved rounds within roughly
 /// `budget` of wall clock and reports per-candidate best times.
 ///
-/// Candidate 0 is used for calibration (time one warmup invocation, then
-/// size the per-slot iteration count so all `candidates × ROUNDS` slots
-/// fit the budget). Every candidate gets at least one invocation per
-/// round regardless of budget, so even a tiny budget yields a ranking —
-/// just a noisier one.
+/// One warm-up invocation of every candidate doubles as calibration: the
+/// round's total is what one timed round costs per iteration, so the
+/// per-slot iteration count is sized for `ROUNDS` such rounds to fit what
+/// the warm-up left of the budget. (Sizing from candidate 0 alone overruns
+/// as soon as the baseline is the fastest plan — the slower candidates
+/// then run the same count at several times the cost.) Every candidate
+/// gets at least one invocation per round regardless of budget, so even a
+/// tiny budget yields a ranking — just a noisier one.
 ///
 /// # Panics
 /// Panics if `runners` is empty.
@@ -57,19 +61,17 @@ pub fn sweep(budget: Duration, runners: &mut [Box<dyn FnMut() + '_>]) -> SweepRe
     assert!(!runners.is_empty(), "sweep needs at least one candidate");
     let n = runners.len();
 
-    // Warmup pass doubles as calibration: how long does one baseline
-    // invocation take, cold paths already exercised?
-    let mut single = f64::MAX;
-    for (i, r) in runners.iter_mut().enumerate() {
-        let t0 = Instant::now();
+    // Warm-up pass doubles as calibration: how long does one invocation of
+    // every candidate take, cold paths exercised on the way?
+    let t0 = Instant::now();
+    for r in runners.iter_mut() {
         r();
-        let dt = t0.elapsed().as_secs_f64();
-        if i == 0 {
-            single = dt;
-        }
     }
-    let slot = budget.as_secs_f64() / (n * ROUNDS) as f64;
-    let iters = (slot / single.max(1e-9)).floor().clamp(1.0, 1e6) as usize;
+    let round = t0.elapsed().as_secs_f64();
+    let left = (budget.as_secs_f64() - round).max(0.0);
+    let iters = (left / (ROUNDS as f64 * round.max(1e-9)))
+        .floor()
+        .clamp(1.0, 1e6) as usize;
 
     let mut best = vec![f64::MAX; n];
     let mut worst = vec![0.0f64; n];
@@ -131,6 +133,29 @@ mod tests {
         assert!(report.secs.iter().all(|&s| s.is_finite() && s > 0.0));
         assert!(report.noise >= 0.0 && report.noise < 1.0);
         assert!(report.strictly_faster(2, 0));
+    }
+
+    #[test]
+    fn sweep_with_slower_candidates_stays_inside_the_budget() {
+        // The baseline is the cheapest runner here; iterations sized from
+        // it alone would spend (1 + 3) / 2 = 2× the budget. Interference
+        // can only lengthen a run, so the best of three attempts is judged.
+        let budget = Duration::from_millis(40);
+        let fastest = (0..3)
+            .map(|_| {
+                let mut runners: Vec<Box<dyn FnMut()>> =
+                    vec![Box::new(|| spin(20)), Box::new(|| spin(60))];
+                let t0 = Instant::now();
+                let report = sweep(budget, &mut runners);
+                assert!(report.iters > 1, "the budget leaves room to iterate");
+                t0.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(
+            fastest.as_secs_f64() <= 1.1 * budget.as_secs_f64(),
+            "sweep took {fastest:?} of a {budget:?} budget"
+        );
     }
 
     #[test]

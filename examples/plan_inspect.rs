@@ -39,13 +39,15 @@ fn main() {
     println!("=== input-aware GEMM planning ===============================");
     // tiny: both operands streamed in place (no-pack strategy, §4.4)
     describe_gemm("tiny", 4, 4, 4, GemmMode::NN, 1000);
-    // M exceeds the 4-row kernel: A must be packed, B still streams
+    // M exceeds the 4-row kernel: three tile rows, A still streams —
+    // its native strides are all the kernel needs
     describe_gemm("tall", 12, 4, 4, GemmMode::NN, 1000);
-    // large square: both packed, edge kernels appear (15 = 3·4 + 3)
+    // large square: edge kernels appear (15 = 3·4 + 3); one pack of
+    // either operand is far inside the L2 bound, so both stream
     describe_gemm("15x15 (Figure 4)", 15, 15, 15, GemmMode::NN, 1000);
     // bigger matrices shrink the super-block (Batch Counter, §5.1)
     describe_gemm("L1 pressure", 33, 33, 33, GemmMode::NN, 1000);
-    // transpose folds into packing, not into the kernel
+    // transpose is an index permutation: swapped strides, no packing
     describe_gemm("transposed", 8, 8, 8, GemmMode::TT, 1000);
 
     println!();
@@ -54,13 +56,14 @@ fn main() {
     describe_trsm("register-resident", 5, 16, TrsmMode::LNLN, 1000);
     // blocked solve with 4-row diagonal blocks
     describe_trsm("blocked", 11, 16, TrsmMode::LNLN, 1000);
-    // canonical mode: B streams in place (pack B "on-demand")
+    // canonical mode: B solved in place, A packs only its triangles
     describe_trsm("canonical", 8, 8, TrsmMode::LNLN, 1000);
-    // upper triangle: index reversal makes it lower; B must be gathered
+    // upper triangle: index reversal makes it lower; B is solved in
+    // place from the stored last row downwards (negative row stride)
     describe_trsm("upper", 8, 8, TrsmMode::LNUN, 1000);
-    // transposed-upper is effectively lower again: B streams
+    // transposed-upper is effectively lower again: A's strides swap
     describe_trsm("trans-upper", 8, 8, TrsmMode::LTUN, 1000);
-    // right side: transposed panel gather
+    // right side: the panel is B transposed — swapped strides, in place
     describe_trsm(
         "right side",
         8,

