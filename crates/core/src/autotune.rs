@@ -229,28 +229,6 @@ fn measure_count(bytes_per_matrix: usize, count: usize) -> usize {
         .max(1)
 }
 
-/// The wall-clock allowance of one first-touch (or retune) sweep, started
-/// before the candidates are built: plan construction and the synthetic
-/// operands are part of what the caller's first call pays, so they are
-/// charged to the budget and the timed rounds get what is left.
-struct SweepBudget {
-    started: Instant,
-    total: Duration,
-}
-
-impl SweepBudget {
-    fn start(budget_ms: u64) -> Self {
-        Self {
-            started: Instant::now(),
-            total: Duration::from_millis(budget_ms.max(1)),
-        }
-    }
-
-    fn left(&self) -> Duration {
-        self.total.saturating_sub(self.started.elapsed())
-    }
-}
-
 /// What a sweep's plan builder returns: the candidate plan, a dedupe
 /// signature (the plan decisions that affect execution), and the plan's
 /// super-block size.
@@ -534,7 +512,10 @@ fn sweep_gemm<E: CompactElement>(
 ) {
     obs::count_tune(obs::TuneEvent::Sweep);
     let _trace = trace::span_arg(trace::SpanKind::TuneSweep, count as u64);
-    let budget = SweepBudget::start(budget_ms);
+    // The clock starts before the candidates and synthetic operands are
+    // built: the caller's first call pays for those too, so they are
+    // charged to the budget and the timed rounds get what is left.
+    let started = Instant::now();
     let scalar = core::mem::size_of::<E>();
     let per_matrix = (dims.m * dims.k + dims.k * dims.n + dims.m * dims.n) * scalar;
     let mcount = measure_count(per_matrix, count);
@@ -569,7 +550,8 @@ fn sweep_gemm<E: CompactElement>(
                 }) as Box<dyn FnMut() + '_>
             })
             .collect();
-        sweep(budget.left(), &mut runners)
+        let total = Duration::from_millis(budget_ms.max(1));
+        sweep(total.saturating_sub(started.elapsed()), &mut runners)
     };
     let winner = &cands[report.winner];
     #[cfg(not(feature = "parallel"))]
@@ -668,7 +650,7 @@ macro_rules! triangular_tuner {
         ) {
             obs::count_tune(obs::TuneEvent::Sweep);
             let _trace = trace::span_arg(trace::SpanKind::TuneSweep, count as u64);
-            let budget = SweepBudget::start(budget_ms);
+            let started = Instant::now(); // as in `sweep_gemm`
             let q = dims.triangle_order(mode);
             let scalar = core::mem::size_of::<E>();
             let per_matrix = (q * q + dims.m * dims.n) * scalar;
@@ -713,7 +695,8 @@ macro_rules! triangular_tuner {
                         }) as Box<dyn FnMut() + '_>
                     })
                     .collect();
-                sweep(budget.left(), &mut runners)
+                let total = Duration::from_millis(budget_ms.max(1));
+                sweep(total.saturating_sub(started.elapsed()), &mut runners)
             };
             let winner = &cands[report.winner];
             #[cfg(not(feature = "parallel"))]

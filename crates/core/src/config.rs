@@ -9,7 +9,7 @@ pub enum PackPolicy {
     /// No-pack "as much as possible" (§5.2): every operand the kernels can
     /// address where it is stored is streamed in place. GEMM streams a
     /// non-conjugated operand through its native strides while one pack of
-    /// it fits half of L2 and falls back to the paper's `m > m_r` /
+    /// it fits a quarter of L2 and falls back to the paper's `m > m_r` /
     /// `n > n_r` rule above that; TRSM/TRMM solve or multiply B in place in
     /// every mode, read A's rectangular strips in place, and pack only the
     /// diagonal blocks' triangles. Conjugated operands pack, since
@@ -74,9 +74,6 @@ pub enum TunePolicy {
 pub struct TuningConfig {
     /// L1 data cache capacity the Batch Counter budgets against.
     pub l1d_bytes: usize,
-    /// L2 capacity per core: the Pack Selecter streams a GEMM operand in
-    /// place while one pack of it fits half of this.
-    pub l2_bytes: usize,
     /// Vector width plans are built for. Defaults to the process-wide
     /// dispatched width (widest the host supports, unless
     /// `IATF_FORCE_WIDTH` narrowed it), which matches the width
@@ -105,7 +102,6 @@ impl TuningConfig {
     pub fn for_machine(m: &MachineProfile) -> Self {
         Self {
             l1d_bytes: m.l1d_bytes,
-            l2_bytes: m.l2_bytes,
             width: dispatched_width(),
             l1_budget_fraction: 0.5,
             pack: PackPolicy::Auto,
@@ -118,14 +114,6 @@ impl TuningConfig {
     /// Host-detected configuration.
     pub fn host() -> Self {
         Self::for_machine(&host_profile())
-    }
-
-    /// Largest per-pack operand footprint the Pack Selecter still streams
-    /// in place. Up to here a packed copy buys a linear address stream and
-    /// nothing else, and costs a pass over the operand; beyond it the
-    /// strided walk starts missing L2 and the paper's rule takes over.
-    pub fn direct_limit_bytes(&self) -> usize {
-        self.l2_bytes / 2
     }
 
     /// Bytes of packed operands the Batch Counter may keep live at once.
@@ -144,7 +132,6 @@ impl TuningConfig {
     pub fn fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         h = fx_mix(h, self.l1d_bytes as u64);
-        h = fx_mix(h, self.l2_bytes as u64);
         // Width changes the interleaving factor and therefore every pack
         // geometry decision a plan bakes in: configs differing only in
         // width must never share a cached plan.
@@ -199,7 +186,6 @@ mod tests {
         let cfg = TuningConfig::for_machine(&KUNPENG_920);
         assert_eq!(cfg.l1d_bytes, 65536);
         assert_eq!(cfg.l1_budget_bytes(), 32768);
-        assert_eq!(cfg.direct_limit_bytes(), 262144);
     }
 
     #[test]

@@ -116,6 +116,19 @@ pub fn host_profile() -> MachineProfile {
     }
 }
 
+/// Largest per-pack operand footprint the GEMM Pack Selecter still
+/// streams in place: a quarter of the host's L2, read once per process.
+/// Up to here a packed copy buys a linear address stream and nothing
+/// else, and costs a pass over the operand. The constant is measured
+/// (EXPERIMENTS.md "Direct vs packed"): between a quarter and half of L2
+/// streaming already loses on balance (−6 % geomean, −25 % at worst), and
+/// beyond half it loses 14–53 % on a transposed complex operand at every
+/// width — there the paper's rule takes over.
+pub(crate) fn direct_limit_bytes() -> usize {
+    static LIMIT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *LIMIT.get_or_init(|| host_profile().l2_bytes / 4)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -91,7 +91,7 @@ impl<E: CompactElement> GemmPlan<E> {
         // spans more than one tile row/column. Conjugation must happen
         // during a copy. Policy overrides support the ablations.
         let pack_policy = tuned.and_then(|t| t.pack).unwrap_or(cfg.pack);
-        let limit = cfg.direct_limit_bytes();
+        let limit = crate::machine::direct_limit_bytes();
         let a_spills = a_panel_len * scalar_bytes > limit && dims.m > E::MR;
         let b_spills = b_panel_len * scalar_bytes > limit && dims.n > E::NR;
         let a_plan = decide(pack_policy, conj_a && E::IS_COMPLEX, a_spills);
@@ -604,29 +604,62 @@ mod tests {
         assert_eq!(plans(&cfg, 5, 4, 9), (Direct, Direct, false));
         assert_eq!(plans(&cfg, 33, 17, 9), (Direct, Direct, false));
         // Above it the paper's rule decides: more than one tile row /
-        // column packs, a single sliver still streams. Half of a 4 KiB
-        // "L2" is 128 f64 groups; a 9×64 A is 576.
-        let tiny = TuningConfig {
-            l2_bytes: 4096,
-            ..cfg.clone()
-        };
-        assert_eq!(plans(&tiny, 9, 4, 64), (Packed, Direct, true));
-        assert_eq!(plans(&tiny, 4, 9, 64), (Direct, Packed, true));
-        assert_eq!(plans(&tiny, 9, 9, 64), (Packed, Packed, true));
-        // ... but an operand that still fits is left alone: 9×1 A, 1×9 B
-        assert_eq!(plans(&tiny, 9, 9, 1), (Direct, Direct, false));
-        // complex kernels are 3×2
+        // column packs, a single sliver still streams. `k` is the first
+        // depth at which a 9-row f64 operand (16 B groups) outgrows the
+        // bound; a 4-row one of that depth still fits.
+        let k = crate::machine::direct_limit_bytes() / (9 * 16) + 1;
+        assert_eq!(plans(&cfg, 9, 4, k), (Packed, Direct, true));
+        assert_eq!(plans(&cfg, 4, 9, k), (Direct, Packed, true));
+        assert_eq!(plans(&cfg, 9, 9, k), (Packed, Packed, true));
+        assert_eq!(plans(&cfg, 9, 9, k - 1), (Direct, Direct, false));
+        // complex kernels are 3×2: at a depth where three c32 rows
+        // (32 B groups) spill, A is one tile row and B is two tile columns
         let p = GemmPlan::<iatf_simd::c32>::new(
-            GemmDims::new(3, 3, 64),
+            GemmDims::new(3, 3, crate::machine::direct_limit_bytes() / (3 * 32) + 1),
             GemmMode::NN,
             false,
             false,
             4,
-            &tiny,
+            &cfg,
         )
         .unwrap();
         assert_eq!(p.a_plan, Direct);
         assert_eq!(p.b_plan, Packed); // 3 > NR = 2
+    }
+
+    #[test]
+    fn spilled_plans_match_the_packed_path_bitwise() {
+        // Beyond the L2 bound is the only place a real-dtype `Auto` plan
+        // mixes a packed with a streamed operand; run one of each.
+        use iatf_layout::StdBatch;
+        use OperandPlan::{Direct, Packed};
+        let w = VecWidth::W128;
+        let auto = TuningConfig {
+            width: w,
+            ..TuningConfig::default()
+        };
+        let always = TuningConfig {
+            pack: PackPolicy::Always,
+            ..auto.clone()
+        };
+        let k = crate::machine::direct_limit_bytes() / (9 * 16) + 1;
+        for (m, n, expect) in [(9, 4, (Packed, Direct)), (4, 9, (Direct, Packed))] {
+            let a = CompactBatch::<f64>::from_std_at(&StdBatch::random(m, k, 3, 1), w);
+            let b = CompactBatch::<f64>::from_std_at(&StdBatch::random(k, n, 3, 2), w);
+            let run = |cfg: &TuningConfig| {
+                let plan =
+                    GemmPlan::<f64>::new(GemmDims::new(m, n, k), GemmMode::NN, false, false, 3, cfg)
+                        .unwrap();
+                let mut c = CompactBatch::<f64>::zeroed_at(m, n, 3, w);
+                plan.execute(1.0, &a, &b, 0.0, &mut c).unwrap();
+                ((plan.a_plan, plan.b_plan), c)
+            };
+            let (plans, c_auto) = run(&auto);
+            assert_eq!(plans, expect);
+            let (plans, c_always) = run(&always);
+            assert_eq!(plans, (Packed, Packed));
+            assert_eq!(c_auto.as_scalars(), c_always.as_scalars());
+        }
     }
 
     #[test]

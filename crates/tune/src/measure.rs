@@ -67,11 +67,7 @@ pub fn sweep(budget: Duration, runners: &mut [Box<dyn FnMut() + '_>]) -> SweepRe
     for r in runners.iter_mut() {
         r();
     }
-    let round = t0.elapsed().as_secs_f64();
-    let left = (budget.as_secs_f64() - round).max(0.0);
-    let iters = (left / (ROUNDS as f64 * round.max(1e-9)))
-        .floor()
-        .clamp(1.0, 1e6) as usize;
+    let iters = calibrated_iters(budget.as_secs_f64(), t0.elapsed().as_secs_f64());
 
     let mut best = vec![f64::MAX; n];
     let mut worst = vec![0.0f64; n];
@@ -107,6 +103,17 @@ pub fn sweep(budget: Duration, runners: &mut [Box<dyn FnMut() + '_>]) -> SweepRe
     }
 }
 
+/// Invocations per timing slot, given what one invocation of every
+/// candidate cost (`round`, the warm-up): `ROUNDS` timed rounds of
+/// `iters × round` each must fit what the warm-up left of the budget.
+/// Never fewer than one.
+fn calibrated_iters(budget: f64, round: f64) -> usize {
+    let left = (budget - round).max(0.0);
+    (left / (ROUNDS as f64 * round.max(1e-9)))
+        .floor()
+        .clamp(1.0, 1e6) as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,26 +143,20 @@ mod tests {
     }
 
     #[test]
-    fn sweep_with_slower_candidates_stays_inside_the_budget() {
-        // The baseline is the cheapest runner here; iterations sized from
-        // it alone would spend (1 + 3) / 2 = 2× the budget. Interference
-        // can only lengthen a run, so the best of three attempts is judged.
-        let budget = Duration::from_millis(40);
-        let fastest = (0..3)
-            .map(|_| {
-                let mut runners: Vec<Box<dyn FnMut()>> =
-                    vec![Box::new(|| spin(20)), Box::new(|| spin(60))];
-                let t0 = Instant::now();
-                let report = sweep(budget, &mut runners);
-                assert!(report.iters > 1, "the budget leaves room to iterate");
-                t0.elapsed()
-            })
-            .min()
-            .unwrap();
-        assert!(
-            fastest.as_secs_f64() <= 1.1 * budget.as_secs_f64(),
-            "sweep took {fastest:?} of a {budget:?} budget"
-        );
+    fn slower_candidates_stay_inside_the_budget() {
+        // Injected costs, so nothing here depends on the host's clock: a
+        // 1 ms baseline and a candidate 3× slower under a 42 ms budget.
+        // Iterations sized from the baseline alone (42 / (3 × 1) = 14)
+        // would spend 4 + 14 × 3 × 4 = 172 ms.
+        let (baseline, slower, budget) = (1e-3, 3e-3, 42e-3);
+        let round = baseline + slower;
+        let iters = calibrated_iters(budget, round);
+        assert!(iters > 1, "the budget leaves room to iterate");
+        let spent = |iters: usize| round + (iters * ROUNDS) as f64 * round;
+        assert!(spent(iters) <= budget, "{} s of {budget} s", spent(iters));
+        assert!(spent(iters + 1) > budget, "the budget is used, not just respected");
+        // A warm-up that already ate the budget still times one invocation.
+        assert_eq!(calibrated_iters(budget, 2.0 * budget), 1);
     }
 
     #[test]

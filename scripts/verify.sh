@@ -119,19 +119,27 @@ IATF_TUNE_DB=target/tune-tests/sentinel.json \
 echo "==> pack-policy ablation smoke (reproduce ablation-pack)"
 # Auto streams in place by default, so the ablation is what keeps the
 # fully packed (Always) and unconditionally streamed (Never) paths
-# exercised end to end; every series must produce a finite throughput.
+# exercised end to end (sgemm NN and cgemm NT, one JSON document each);
+# every series must produce a finite throughput.
 cargo run -q --release -p iatf-bench --bin reproduce -- \
   ablation-pack --sizes 4,12,33 --json > target/ablation_pack.json
 python3 - <<'EOF'
 import json, math
-doc = json.load(open("target/ablation_pack.json"))
-series = {s["name"]: s["values"] for s in doc["series"]}
-for name in ("Auto (in place)", "Always pack", "Never pack"):
-    vals = series[name]
-    assert len(vals) == len(doc["x"]) and all(math.isfinite(v) and v > 0 for v in vals), (
-        f"{name}: {vals}")
-ratios = [a / b for a, b in zip(series["Auto (in place)"], series["Always pack"])]
-print("    Auto / Always GFLOPS at n=%s: %s" % (doc["x"], ["%.2f" % r for r in ratios]))
+text, at, docs = open("target/ablation_pack.json").read().strip(), 0, []
+while at < len(text):
+    doc, at = json.JSONDecoder().raw_decode(text, at)
+    docs.append(doc)
+    at += len(text[at:]) - len(text[at:].lstrip())
+assert len(docs) == 2, [d["title"] for d in docs]
+for doc in docs:
+    series = {s["name"]: s["values"] for s in doc["series"]}
+    for name in ("Auto (in place)", "Always pack", "Never pack"):
+        vals = series[name]
+        assert len(vals) == len(doc["x"]) and all(math.isfinite(v) and v > 0 for v in vals), (
+            f"{doc['title']} / {name}: {vals}")
+    ratios = [a / b for a, b in zip(series["Auto (in place)"], series["Always pack"])]
+    print("    %s: Auto / Always GFLOPS at n=%s: %s"
+          % (doc["title"], doc["x"], ["%.2f" % r for r in ratios]))
 EOF
 
 echo "==> plan-cache amortization smoke (reproduce callamort)"
@@ -174,13 +182,27 @@ for p in pts:
         f"tuned config loses to heuristic beyond noise at {p['op']}/"
         f"{p['dtype']} n={p['n']}: {p['tuned_gflops']:.3f} vs "
         f"{p['heuristic_gflops']:.3f} (noise {p['noise']:.3f})")
-# No floor on how often tuning *wins*: since the Pack Selecter streams
-# operands in place by default the heuristic plan is already the fastest
-# candidate on most of this grid (1-2 of 26 strict wins), and a tuner
-# that finds nothing to improve is a correct outcome. Reported, not gated.
-frac = doc["strictly_faster_points"] / doc["total_points"]
-print(f"    {doc['strictly_faster_points']}/{doc['total_points']} points "
-      f"strictly faster ({100*frac:.0f}%), db entries {doc['db_entries']}")
+    # Same rule for the sweep started from the fully packed base.
+    tol = max(3.0 * p["packed_noise"], 0.02)
+    assert p["from_packed_gflops"] >= p["packed_gflops"] * (1.0 - tol), (
+        f"winner from the packed base loses to it beyond noise at {p['op']}/"
+        f"{p['dtype']} n={p['n']}: {p['from_packed_gflops']:.3f} vs "
+        f"{p['packed_gflops']:.3f} (noise {p['packed_noise']:.3f})")
+# The tuner must earn its sweep where an improvement is known to exist:
+# started from the fully packed base (PackPolicy::Always), with the
+# in-place plans among its candidates, the recorded winner has to beat
+# that base beyond noise on >=25% of the grid. (Against the default base
+# the same floor no longer holds -- the Pack Selecter streams in place by
+# itself and the sweep finds 1-2 strict wins in 26 -- which is reported
+# below and is ROADMAP's "tuner that pays for itself" item, not a pass.)
+frac = doc["beats_packed_points"] / doc["total_points"]
+assert frac >= 0.25, (
+    f"tuning from the packed base must beat it beyond noise on >=25% of "
+    f"the grid, got {100*frac:.0f}%")
+print(f"    {doc['beats_packed_points']}/{doc['total_points']} points strictly "
+      f"faster than the packed base ({100*frac:.0f}%), "
+      f"{doc['strictly_faster_points']}/{doc['total_points']} than the default "
+      f"heuristic, db entries {doc['db_entries']}")
 EOF
 test -s target/tune-tests/ci-tune.json || {
   echo "error: autotuner did not persist its db to IATF_TUNE_DB"; exit 1; }
