@@ -1306,6 +1306,10 @@ struct TunePoint {
     packed_gflops: f64,
     from_packed_gflops: f64,
     packed_noise: f64,
+    /// Wall time of the first-touch call that swept this key from the
+    /// default config and from the packed base, milliseconds.
+    sweep_ms: f64,
+    packed_sweep_ms: f64,
 }
 
 impl TunePoint {
@@ -1337,6 +1341,8 @@ impl TunePoint {
 /// config, which is what stays in the db. The first pass is the CI
 /// gate's evidence that enumeration, measurement and selection work; the
 /// second says how much the sweep still buys over today's heuristic.
+/// Each pass's wall time is recorded: the budget is a ceiling the gate
+/// holds every sweep to.
 fn tune_bench(opts: &Opts) {
     use iatf_core::autotune::{gemm_tune_key, trsm_tune_key};
     use iatf_core::TunePolicy;
@@ -1360,14 +1366,20 @@ fn tune_bench(opts: &Opts) {
         pack: PackPolicy::Always,
         ..cfg.clone()
     };
-    let both_passes = |key: TuneKey, tune: &dyn Fn(&TuningConfig)| -> Option<(TunedEntry, TunedEntry)> {
-        tune(&packed_cfg);
+    type Passes = ((TunedEntry, f64), (TunedEntry, f64));
+    let both_passes = |key: TuneKey, tune: &dyn Fn(&TuningConfig)| -> Option<Passes> {
+        let timed = |c: &TuningConfig| {
+            let t0 = std::time::Instant::now();
+            tune(c);
+            t0.elapsed().as_secs_f64() * 1e3
+        };
+        let packed_ms = timed(&packed_cfg);
         let from_packed = db.lookup(&key)?;
         db.remove(&key);
-        tune(&cfg);
-        Some((db.lookup(&key)?, from_packed))
+        let ms = timed(&cfg);
+        Some(((db.lookup(&key)?, ms), (from_packed, packed_ms)))
     };
-    let point = |op, dtype, n, count, (e, packed): (TunedEntry, TunedEntry)| TunePoint {
+    let point = |op, dtype, n, count, ((e, ms), (packed, packed_ms)): Passes| TunePoint {
         op,
         dtype,
         n,
@@ -1378,6 +1390,8 @@ fn tune_bench(opts: &Opts) {
         packed_gflops: packed.heuristic_gflops,
         from_packed_gflops: packed.tuned_gflops,
         packed_noise: packed.noise,
+        sweep_ms: ms,
+        packed_sweep_ms: packed_ms,
     };
     let mut points: Vec<TunePoint> = Vec::new();
     for &n in &opts.sizes {
@@ -1399,6 +1413,9 @@ fn tune_bench(opts: &Opts) {
     let total = points.len();
     let strict = points.iter().filter(|p| p.strictly_faster()).count();
     let beat_packed = points.iter().filter(|p| p.beats_packed()).count();
+    let mut sweeps: Vec<f64> = points.iter().flat_map(|p| [p.sweep_ms, p.packed_sweep_ms]).collect();
+    sweeps.sort_by(f64::total_cmp);
+    let median_sweep_ms = sweeps.get(sweeps.len() / 2).copied().unwrap_or(0.0);
     if opts.json {
         let doc = iatf_obs::Json::object()
             .set(
@@ -1427,12 +1444,15 @@ fn tune_bench(opts: &Opts) {
                             .set("from_packed_gflops", p.from_packed_gflops)
                             .set("packed_noise", p.packed_noise)
                             .set("beats_packed", p.beats_packed())
+                            .set("sweep_ms", p.sweep_ms)
+                            .set("packed_sweep_ms", p.packed_sweep_ms)
                     })
                     .collect::<Vec<_>>(),
             )
             .set("total_points", total as u64)
             .set("strictly_faster_points", strict as u64)
-            .set("beats_packed_points", beat_packed as u64);
+            .set("beats_packed_points", beat_packed as u64)
+            .set("median_sweep_ms", median_sweep_ms);
         println!("{}", doc.to_pretty());
         return;
     }
@@ -1461,7 +1481,7 @@ fn tune_bench(opts: &Opts) {
         );
     }
     println!(
-        "   {strict}/{total} points strictly faster than the heuristic, {beat_packed}/{total} than the packed base; db has {} entries (generation {})",
+        "   {strict}/{total} points strictly faster than the heuristic, {beat_packed}/{total} than the packed base; median sweep {median_sweep_ms:.2} ms of {budget_ms}; db has {} entries (generation {})",
         db.len(),
         db.generation()
     );
@@ -2831,6 +2851,7 @@ fn journal_scratch_env() {
     for (var, path) in scratch {
         if std::env::var_os(var).is_none() {
             let _ = std::fs::remove_file(path);
+            let _ = std::fs::remove_file(format!("{path}.log"));
             let _ = std::fs::remove_dir_all(path);
             std::env::set_var(var, path);
         }

@@ -7,16 +7,17 @@
 //! * **Keys** — mapping an input fingerprint (op, dtype, dims, mode,
 //!   conjugation, group count) to a [`TuneKey`], reusing the exact mode
 //!   encodings the plan cache keys use.
-//! * **Candidates** — the space the sweep explores: the heuristic plan
-//!   (always candidate 0, so the winner can never be slower than the
-//!   baseline *in the sweep's own numbers*), pack-policy variants, L1
-//!   budget fractions around the model's prediction, and explicit
-//!   super-block sizes at half/double the heuristic. Candidates that
+//! * **Candidates** — the space the sweep explores ([`sweep_configs`]):
+//!   the heuristic plan (always candidate 0, so the winner can never be
+//!   slower than the baseline *in the sweep's own numbers*), the pack
+//!   policies the base does not already dominate, and explicit super-block
+//!   sizes at a quarter, half and double the heuristic's. Candidates that
 //!   decode to the same plan decisions are deduplicated before timing.
 //! * **Workloads** — synthetic operands sized like the real input but
-//!   capped in group count so the sweep's working set stays modest.
-//!   Triangular sweeps run against identity matrices, making repeated
-//!   in-place solves a bitwise fixed point (no drift across timing reps).
+//!   capped in group count so the sweep's working set stays modest, filled
+//!   in place. Triangular sweeps run against identity matrices, making
+//!   repeated in-place solves a bitwise fixed point (no drift across
+//!   timing reps).
 //! * **Decisions** — translating a recorded [`TunedEntry`] back into the
 //!   overrides the planners consume ([`TunedDecision`]).
 //!
@@ -32,9 +33,9 @@ use std::time::{Duration, Instant};
 use crate::config::{BatchPolicy, PackPolicy, PlanCachePolicy, TunePolicy, TuningConfig};
 use crate::elem::CompactElement;
 use crate::plan::{cache, GemmPlan, TrmmPlan, TrsmPlan};
-use iatf_layout::{CompactBatch, GemmDims, GemmMode, StdBatch, TrsmDims, TrsmMode};
+use iatf_layout::{CompactBatch, GemmDims, GemmMode, TrsmDims, TrsmMode};
 use iatf_obs as obs;
-use iatf_simd::VecWidth;
+use iatf_simd::{Real, VecWidth};
 use iatf_trace as trace;
 use iatf_tune::{sweep, SweepReport, TuneKey, TuneOp, TunedEntry, TuningDb};
 
@@ -204,7 +205,6 @@ pub(crate) fn lookup_trmm<E: CompactElement>(
 struct Candidate<P> {
     plan: P,
     pack_code: u8,
-    l1_fraction: f64,
     group_packs: usize,
     /// Whether winning should pin `group_packs` in the db. Candidates
     /// that only vary the pack policy leave the Batch Counter heuristic
@@ -229,78 +229,107 @@ fn measure_count(bytes_per_matrix: usize, count: usize) -> usize {
         .max(1)
 }
 
+/// A synthetic sweep operand, laid out at `width` and filled in place —
+/// no standard batch to generate and convert — with finite, normal
+/// values in [0.5, 1.375].
+fn synthetic<E: CompactElement>(
+    rows: usize,
+    cols: usize,
+    count: usize,
+    width: VecWidth,
+) -> CompactBatch<E> {
+    let mut x = CompactBatch::<E>::zeroed_at(rows, cols, count, width);
+    for (i, s) in x.as_scalars_mut().iter_mut().enumerate() {
+        *s = E::Real::from_f64(0.5 + 0.125 * (i % 8) as f64);
+    }
+    x
+}
+
+/// The identity triangle of a triangular sweep, padding lanes included:
+/// solving or multiplying by it in place leaves B bitwise unchanged, so
+/// timing reps never drift, overflow or go subnormal.
+fn identity<E: CompactElement>(q: usize, count: usize, width: VecWidth) -> CompactBatch<E> {
+    let mut a = CompactBatch::<E>::zeroed_at(q, q, count, width);
+    for v in 0..count {
+        for i in 0..q {
+            a.set(v, i, i, E::one());
+        }
+    }
+    a.pad_triangle_identity();
+    a
+}
+
+/// The configurations a first-touch sweep from `cfg` races, heuristic
+/// first, given the heuristic plan's super-block size `gp0`. Candidate 0
+/// is `cfg` itself, planned heuristically with the plan cache bypassed;
+/// each other candidate varies one decision:
+///
+/// * the pack policy, except `Always` under an `Auto` base: where `Auto`
+///   streams an operand, `Always` does the same kernel work plus the pack
+///   traffic, and above the direct bound `Auto` packs already;
+/// * the super-block size, pinned at `gp0/4`, `gp0/2` and `2·gp0` (at
+///   least 1, each size once). This is also the only way the L1 budget
+///   fraction reaches a plan, so it is not varied separately.
+pub fn sweep_configs(cfg: &TuningConfig, gp0: usize) -> Vec<TuningConfig> {
+    let base = heuristic_config(cfg);
+    let packs = [PackPolicy::Auto, PackPolicy::Always, PackPolicy::Never]
+        .into_iter()
+        .filter(|&p| p != base.pack && (base.pack, p) != (PackPolicy::Auto, PackPolicy::Always))
+        .map(|pack| TuningConfig { pack, ..base.clone() });
+    let mut sizes: Vec<usize> = Vec::new();
+    for gp in [gp0 / 4, gp0 / 2, gp0 * 2].map(|gp| gp.max(1)) {
+        if gp != gp0 && !sizes.contains(&gp) {
+            sizes.push(gp);
+        }
+    }
+    let sizes = sizes.into_iter().map(|gp| TuningConfig {
+        batch: BatchPolicy::Fixed(gp),
+        ..base.clone()
+    });
+    std::iter::once(base.clone()).chain(packs).chain(sizes).collect()
+}
+
+/// Candidate 0's configuration: `cfg` planned heuristically, so tuning
+/// never recurses into itself, with the plan cache bypassed.
+fn heuristic_config(cfg: &TuningConfig) -> TuningConfig {
+    TuningConfig {
+        tune: TunePolicy::Heuristic,
+        plan_cache: PlanCachePolicy::Bypass,
+        ..cfg.clone()
+    }
+}
+
 /// What a sweep's plan builder returns: the candidate plan, a dedupe
 /// signature (the plan decisions that affect execution), and the plan's
 /// super-block size.
 type BuiltCandidate<P, S> = Option<(P, S, usize)>;
 
-/// Enumerates, builds, and deduplicates the candidate plans for one sweep.
-/// Candidate 0 is always the heuristic baseline.
+/// Builds and deduplicates the candidate plans of [`sweep_configs`] for
+/// one sweep. Candidate 0 is always the heuristic baseline.
 fn enumerate_candidates<P, S: PartialEq>(
     cfg: &TuningConfig,
     build: &dyn Fn(&TuningConfig) -> BuiltCandidate<P, S>,
 ) -> Vec<Candidate<P>> {
-    let base = TuningConfig {
-        tune: TunePolicy::Heuristic,
-        plan_cache: PlanCachePolicy::Bypass,
-        ..cfg.clone()
+    let heuristic = heuristic_config(cfg);
+    let Some((plan, sig, gp0)) = build(&heuristic) else {
+        return Vec::new();
     };
-    let mut out: Vec<Candidate<P>> = Vec::new();
-    let mut sigs: Vec<S> = Vec::new();
-    let Some((plan, sig, gp0)) = build(&base) else {
-        return out;
-    };
-    out.push(Candidate {
+    let mut out = vec![Candidate {
         plan,
-        pack_code: pack_code(base.pack),
-        l1_fraction: base.l1_budget_fraction,
+        pack_code: pack_code(heuristic.pack),
         group_packs: gp0,
         records_gp: false,
-    });
-    sigs.push(sig);
-
-    let mut specs: Vec<(TuningConfig, bool)> = Vec::new();
-    for pack in [PackPolicy::Auto, PackPolicy::Always, PackPolicy::Never] {
-        if pack != base.pack {
-            specs.push((TuningConfig { pack, ..base.clone() }, false));
-        }
-    }
-    // The L1-fraction candidate list comes from the kernel registry row
-    // for the plan's vector width: wider backends keep more live registers
-    // per pack, shifting where the packed-working-set sweet spot sits, so
-    // their rows expose a deeper fraction ladder.
-    for &frac in iatf_kernels::row_for(cfg.width).l1_fractions {
-        if (frac - base.l1_budget_fraction).abs() > 1e-9 {
-            specs.push((
-                TuningConfig {
-                    l1_budget_fraction: frac,
-                    ..base.clone()
-                },
-                true,
-            ));
-        }
-    }
-    for gp in [gp0 / 2, gp0 * 2] {
-        if gp >= 1 && gp != gp0 {
-            specs.push((
-                TuningConfig {
-                    batch: BatchPolicy::Fixed(gp),
-                    ..base.clone()
-                },
-                true,
-            ));
-        }
-    }
-    for (ccfg, records_gp) in specs {
+    }];
+    let mut sigs = vec![sig];
+    for ccfg in sweep_configs(cfg, gp0).into_iter().skip(1) {
         if let Some((plan, sig, gp)) = build(&ccfg) {
             if !sigs.contains(&sig) {
                 sigs.push(sig);
                 out.push(Candidate {
                     plan,
                     pack_code: pack_code(ccfg.pack),
-                    l1_fraction: ccfg.l1_budget_fraction,
                     group_packs: gp,
-                    records_gp,
+                    records_gp: ccfg.batch != heuristic.batch,
                 });
             }
         }
@@ -308,9 +337,11 @@ fn enumerate_candidates<P, S: PartialEq>(
     out
 }
 
+#[allow(clippy::too_many_arguments)]
 fn record_winner<P>(
     db: &TuningDb,
     key: TuneKey,
+    cfg: &TuningConfig,
     winner: &Candidate<P>,
     report: &SweepReport,
     flops: f64,
@@ -324,7 +355,7 @@ fn record_winner<P>(
         } else {
             0
         },
-        l1_fraction: winner.l1_fraction,
+        l1_fraction: cfg.l1_budget_fraction,
         parallel,
         tuned_gflops: flops / (report.secs[report.winner] * 1e9),
         heuristic_gflops: flops / (report.secs[0] * 1e9),
@@ -383,7 +414,6 @@ fn journal_sweep_outcome<P>(
             obs::Json::object()
                 .set("index", i as u64)
                 .set("pack", u64::from(cand.pack_code))
-                .set("l1_fraction", cand.l1_fraction)
                 .set("group_packs", cand.group_packs as u64)
                 .set("secs", report.secs[i])
                 .set("winner", i == report.winner),
@@ -516,6 +546,7 @@ fn sweep_gemm<E: CompactElement>(
     // built: the caller's first call pays for those too, so they are
     // charged to the budget and the timed rounds get what is left.
     let started = Instant::now();
+    let total = Duration::from_millis(budget_ms.max(1));
     let scalar = core::mem::size_of::<E>();
     let per_matrix = (dims.m * dims.k + dims.k * dims.n + dims.m * dims.n) * scalar;
     let mcount = measure_count(per_matrix, count);
@@ -534,11 +565,11 @@ fn sweep_gemm<E: CompactElement>(
     let jsweep = journal_sweep_start(&key, budget_ms, cands.len());
     let (ar, ac) = dims.a_shape(mode);
     let (br, bc) = dims.b_shape(mode);
-    let a = CompactBatch::<E>::from_std_at(&StdBatch::random(ar, ac, mcount, 0xA11CE), cfg.width);
-    let b = CompactBatch::<E>::from_std_at(&StdBatch::random(br, bc, mcount, 0xB0B), cfg.width);
+    let a = synthetic::<E>(ar, ac, mcount, cfg.width);
+    let b = synthetic::<E>(br, bc, mcount, cfg.width);
     let c = RefCell::new(CompactBatch::<E>::zeroed_at(dims.m, dims.n, mcount, cfg.width));
     // β = 0 overwrites C every invocation, so repeated timing reps cannot
-    // accumulate (values stay bounded by the random [0,1) inputs).
+    // accumulate (values stay bounded by the synthetic inputs).
     let (alpha, beta) = (E::one(), E::zero());
     let report = {
         let mut runners: Vec<Box<dyn FnMut() + '_>> = cands
@@ -550,7 +581,6 @@ fn sweep_gemm<E: CompactElement>(
                 }) as Box<dyn FnMut() + '_>
             })
             .collect();
-        let total = Duration::from_millis(budget_ms.max(1));
         sweep(total.saturating_sub(started.elapsed()), &mut runners)
     };
     let winner = &cands[report.winner];
@@ -568,12 +598,11 @@ fn sweep_gemm<E: CompactElement>(
                     .execute_parallel(alpha, &a, &b, beta, &mut c.borrow_mut());
             }),
         ];
-        let rep = sweep(Duration::from_millis((budget_ms / 2).max(1)), &mut runners);
-        rep.winner == 1 && rep.strictly_faster(1, 0)
+        sweep(total.saturating_sub(started.elapsed()), &mut runners).winner == 1
     };
     let flops = E::DTYPE.flops_per_mac() as f64 * dims.macs() as f64 * mcount as f64;
     let provenance = journal_sweep_outcome(&key, cfg.width, &cands, &report, parallel, flops, jsweep);
-    record_winner(db, key, winner, &report, flops, parallel, provenance);
+    record_winner(db, key, cfg, winner, &report, flops, parallel, provenance);
 }
 
 macro_rules! triangular_tuner {
@@ -651,6 +680,7 @@ macro_rules! triangular_tuner {
             obs::count_tune(obs::TuneEvent::Sweep);
             let _trace = trace::span_arg(trace::SpanKind::TuneSweep, count as u64);
             let started = Instant::now(); // as in `sweep_gemm`
+            let total = Duration::from_millis(budget_ms.max(1));
             let q = dims.triangle_order(mode);
             let scalar = core::mem::size_of::<E>();
             let per_matrix = (q * q + dims.m * dims.n) * scalar;
@@ -669,21 +699,8 @@ macro_rules! triangular_tuner {
             // Identity A makes the repeated in-place solve/multiply a
             // bitwise fixed point: X = 1·B every rep, no drift, no
             // overflow, regardless of how many timing iterations run.
-            let mut a = CompactBatch::<E>::from_std_at(
-                &StdBatch::from_fn(q, q, mcount, |_, i, j| {
-                    if i == j {
-                        E::one()
-                    } else {
-                        E::zero()
-                    }
-                }),
-                cfg.width,
-            );
-            a.pad_triangle_identity();
-            let b = RefCell::new(CompactBatch::<E>::from_std_at(
-                &StdBatch::random(dims.m, dims.n, mcount, 0xF1D0),
-                cfg.width,
-            ));
+            let a = identity::<E>(q, mcount, cfg.width);
+            let b = RefCell::new(synthetic::<E>(dims.m, dims.n, mcount, cfg.width));
             let alpha = E::one();
             let report = {
                 let mut runners: Vec<Box<dyn FnMut() + '_>> = cands
@@ -695,7 +712,6 @@ macro_rules! triangular_tuner {
                         }) as Box<dyn FnMut() + '_>
                     })
                     .collect();
-                let total = Duration::from_millis(budget_ms.max(1));
                 sweep(total.saturating_sub(started.elapsed()), &mut runners)
             };
             let winner = &cands[report.winner];
@@ -711,13 +727,12 @@ macro_rules! triangular_tuner {
                         let _ = winner.plan.execute_parallel(alpha, &a, &mut b.borrow_mut());
                     }),
                 ];
-                let rep = sweep(Duration::from_millis((budget_ms / 2).max(1)), &mut runners);
-                rep.winner == 1 && rep.strictly_faster(1, 0)
+                sweep(total.saturating_sub(started.elapsed()), &mut runners).winner == 1
             };
             let flops = E::DTYPE.flops_per_mac() as f64 * dims.macs(mode) as f64 * mcount as f64;
             let provenance =
                 journal_sweep_outcome(&key, cfg.width, &cands, &report, parallel, flops, jsweep);
-            record_winner(db, key, winner, &report, flops, parallel, provenance);
+            record_winner(db, key, cfg, winner, &report, flops, parallel, provenance);
         }
     };
 }
@@ -816,6 +831,32 @@ mod tests {
         // Small input: floor kicks in but never exceeds the real count.
         assert_eq!(measure_count(4 * 4 * 3 * 4, 16), 16);
         assert_eq!(measure_count(usize::MAX, 1_000), MEASURE_MIN_COUNT);
+    }
+
+    #[test]
+    fn the_super_block_ladder_stays_clamped_and_unique() {
+        let cfg = TuningConfig::default();
+        for gp0 in [0, 1, 2, 3, 4, 5, 8, 64, 1000] {
+            let sizes: Vec<usize> = sweep_configs(&cfg, gp0)
+                .iter()
+                .filter_map(|c| match c.batch {
+                    BatchPolicy::Fixed(gp) => Some(gp),
+                    _ => None,
+                })
+                .collect();
+            assert!(sizes.iter().all(|&gp| gp >= 1 && gp != gp0), "{gp0}: {sizes:?}");
+            for (i, gp) in sizes.iter().enumerate() {
+                assert!(!sizes[..i].contains(gp), "{gp0}: {sizes:?}");
+            }
+            if gp0 >= 4 {
+                assert_eq!(sizes, vec![gp0 / 4, gp0 / 2, 2 * gp0]);
+            }
+        }
+        // one decision at a time: a size candidate keeps the base's policy
+        for c in &sweep_configs(&cfg, 8)[1..] {
+            assert!((c.pack != cfg.pack) ^ (c.batch != cfg.batch), "{c:?}");
+            assert!(matches!(c.tune, TunePolicy::Heuristic));
+        }
     }
 
     #[test]

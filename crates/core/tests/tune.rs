@@ -10,15 +10,18 @@
 //! * A corrupt db degrades to pure heuristics at the plan level.
 //! * First-touch tuning sweeps once, records, and still returns
 //!   bit-identical results through the public API.
+//! * Under the default `Auto` pack policy the sweep never races the fully
+//!   packed plan (it cannot beat `Auto`); swept from a packed base it
+//!   still races `Auto`.
 //!
 //! The tuning db and plan cache are process-global, so every test
 //! serializes on one mutex, disables db persistence, and starts clean.
 
-use iatf_core::autotune::{gemm_tune_key, trmm_tune_key, trsm_tune_key};
+use iatf_core::autotune::{gemm_tune_key, sweep_configs, trmm_tune_key, trsm_tune_key};
 use iatf_core::plan::cache;
 use iatf_core::{
-    compact_gemm, compact_trmm, compact_trsm, CompactElement, GemmPlan, PlanCachePolicy,
-    TrmmPlan, TrsmPlan, TunePolicy, TuningConfig,
+    compact_gemm, compact_trmm, compact_trsm, CompactElement, GemmPlan, PackPolicy,
+    PlanCachePolicy, TrmmPlan, TrsmPlan, TunePolicy, TuningConfig,
 };
 use iatf_layout::{CompactBatch, GemmDims, GemmMode, StdBatch, TrsmDims, TrsmMode};
 use iatf_simd::{c32, c64, dispatched_width, Real};
@@ -298,6 +301,7 @@ fn first_touch_sweeps_records_and_stays_bit_identical() {
         dispatched_width(),
     );
     let entry = db.lookup(&key).expect("first touch must record a winner");
+    assert_ne!(entry.pack, 1, "an Auto-base sweep recorded PackPolicy::Always");
     assert!(entry.tuned_gflops > 0.0 && entry.tuned_gflops.is_finite());
     assert!(entry.tuned_gflops >= entry.heuristic_gflops * 0.99999);
     assert_eq!(bits(&c_h), bits(&c_t));
@@ -336,4 +340,24 @@ fn first_touch_sweeps_records_and_stays_bit_identical() {
             dispatched_width()
         ))
         .is_some());
+}
+
+#[test]
+fn auto_base_never_races_always_and_a_packed_base_still_offers_auto() {
+    let auto = heuristic_cfg();
+    assert_eq!(auto.pack, PackPolicy::Auto);
+    let packed = TuningConfig {
+        pack: PackPolicy::Always,
+        ..auto.clone()
+    };
+    for gp0 in [1, 2, 7, 64] {
+        let from_auto = sweep_configs(&auto, gp0);
+        assert_eq!(from_auto[0].pack, PackPolicy::Auto);
+        assert!(from_auto.iter().all(|c| c.pack != PackPolicy::Always));
+        assert!(from_auto.iter().any(|c| c.pack == PackPolicy::Never));
+        let from_packed = sweep_configs(&packed, gp0);
+        assert_eq!(from_packed[0].pack, PackPolicy::Always);
+        assert!(from_packed.iter().any(|c| c.pack == PackPolicy::Auto));
+        assert!(from_packed.iter().any(|c| c.pack == PackPolicy::Never));
+    }
 }

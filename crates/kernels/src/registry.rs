@@ -3,13 +3,11 @@
 //! One row per (µarch, vector width) combination compiled into this build:
 //! the lane counts that become the interleaving factor `P`, the k-loop
 //! blocking depth the microkernels unroll to, whether the ping-pong
-//! two-deep software pipeline is worth running there, whether the packers
-//! should issue software prefetch, and the L1-budget fractions the
-//! autotuner should sweep. The registry is the single place this
-//! knowledge lives: the Batch Counter and Pack Selecter read lane counts
-//! and prefetch policy from here, the plan builders stamp the row into
-//! their explain output, and `iatf-core::autotune` draws its
-//! `l1_budget_fraction` candidate list from [`KernelRegistryRow::l1_fractions`].
+//! two-deep software pipeline is worth running there, and whether the
+//! packers should issue software prefetch. The registry is the single
+//! place this knowledge lives: the Batch Counter and Pack Selecter read
+//! lane counts and prefetch policy from here, and the plan builders stamp
+//! the row into their explain output.
 //!
 //! Rows describe *compiled-in* capability; [`rows`] filters them down to
 //! what the running host can actually execute (via
@@ -46,20 +44,7 @@ pub struct KernelRegistryRow {
     /// next panel. Wider vectors consume panels faster, so prefetch stays
     /// on everywhere except the scalar reference row.
     pub prefetch: bool,
-    /// `l1_budget_fraction` candidates the autotuner sweeps at this width,
-    /// in ascending order. Wider vectors have larger packed working sets
-    /// per tile, so the wide rows extend the sweep one step down.
-    pub l1_fractions: &'static [f64],
 }
-
-/// Sweep fractions for the 128-bit-and-narrower rows (the original
-/// autotune candidate set — keeping it unchanged keeps plan caches and
-/// tuning sweeps for those widths byte-identical to the pre-registry
-/// behaviour).
-const NARROW_FRACTIONS: &[f64] = &[0.25, 0.5, 1.0];
-/// Sweep fractions for the 256-/512-bit rows: one extra step down since a
-/// wide tile's packed slivers are 2–4× larger.
-const WIDE_FRACTIONS: &[f64] = &[0.125, 0.25, 0.5, 1.0];
 
 /// µarch tag for the portable scalar reference backend.
 pub const UARCH_SCALAR: &str = "portable-scalar";
@@ -85,7 +70,6 @@ pub const COMPILED_ROWS: &[KernelRegistryRow] = &[
         kblock: 1,
         pipeline: false,
         prefetch: false,
-        l1_fractions: NARROW_FRACTIONS,
     },
     KernelRegistryRow {
         uarch: UARCH_W128,
@@ -95,7 +79,6 @@ pub const COMPILED_ROWS: &[KernelRegistryRow] = &[
         kblock: 2,
         pipeline: true,
         prefetch: true,
-        l1_fractions: NARROW_FRACTIONS,
     },
     #[cfg(target_arch = "x86_64")]
     KernelRegistryRow {
@@ -106,7 +89,6 @@ pub const COMPILED_ROWS: &[KernelRegistryRow] = &[
         kblock: 2,
         pipeline: true,
         prefetch: true,
-        l1_fractions: WIDE_FRACTIONS,
     },
     #[cfg(target_arch = "x86_64")]
     KernelRegistryRow {
@@ -117,7 +99,6 @@ pub const COMPILED_ROWS: &[KernelRegistryRow] = &[
         kblock: 2,
         pipeline: true,
         prefetch: true,
-        l1_fractions: WIDE_FRACTIONS,
     },
 ];
 
@@ -199,18 +180,5 @@ mod tests {
             assert_eq!(row_for(VecWidth::W512).lanes_f64, 8);
         }
         assert_eq!(row_for(VecWidth::Scalar).uarch, UARCH_SCALAR);
-    }
-
-    #[test]
-    fn fractions_stay_sorted_and_in_range() {
-        for row in COMPILED_ROWS {
-            for pair in row.l1_fractions.windows(2) {
-                assert!(pair[0] < pair[1]);
-            }
-            assert!(row.l1_fractions.iter().all(|f| *f > 0.0 && *f <= 1.0));
-            // The heuristic default (0.5) must always be a sweep candidate,
-            // so candidate 0 (the baseline) is never a duplicate.
-            assert!(row.l1_fractions.contains(&0.5), "{}", row.uarch);
-        }
     }
 }

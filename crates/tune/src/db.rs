@@ -11,24 +11,28 @@
 //! * Location: `$IATF_TUNE_DB` if set (set it to the empty string to
 //!   disable persistence entirely), else `$HOME/.cache/iatf/tune.json`,
 //!   else in-memory only.
-//! * Writes are atomic: serialize to a `.tmp.<pid>` sibling, then
-//!   `rename(2)` over the target. Readers never observe a half-written
-//!   file, and a crash mid-write leaves the previous db intact.
+//! * A record appends one JSON line to a `<db>.log` sibling; the snapshot
+//!   itself is rewritten atomically (temp file + `rename(2)`) only when
+//!   the log is compacted (the `store` module). After every mutation
+//!   except [`TuningDb::clear`] the snapshot plus its log equal the
+//!   in-memory map, and a crash loses at most the line being written.
 //! * The format is versioned ([`SCHEMA_VERSION`]). A missing file starts
 //!   empty; an unreadable, unparseable, wrong-schema, or otherwise
 //!   corrupt file *also* starts empty — the heuristics keep working, an
 //!   obs counter ([`iatf_obs::TuneEvent::DbCorrupt`]) records the event,
 //!   and nothing panics. Individually malformed entries inside a valid
-//!   document are skipped, not fatal.
+//!   document are skipped, not fatal; so are torn or invalid log lines,
+//!   each counted as one `DbCorrupt`.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, OnceLock};
 
-use iatf_obs::{count_tune, parse_json, Json, TuneEvent};
+use iatf_obs::{count_tune, Json, TuneEvent};
 
 use crate::key::TuneKey;
+use crate::store::{self, Load, LogStore};
 
 /// On-disk format version; bump on any incompatible layout change. Files
 /// carrying a different version are treated as absent (heuristics apply).
@@ -109,7 +113,7 @@ pub enum LoadOutcome {
 
 struct Inner {
     entries: HashMap<TuneKey, TunedEntry>,
-    path: Option<PathBuf>,
+    store: LogStore,
 }
 
 /// Process-wide tuning database.
@@ -124,7 +128,7 @@ impl TuningDb {
         TuningDb {
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
-                path: None,
+                store: LogStore::default(),
             }),
             generation: AtomicU64::new(1),
         }
@@ -151,20 +155,23 @@ impl TuningDb {
     }
 
     /// Records a winner, bumps the generation (invalidating cached plans
-    /// built against tuned state), and persists eagerly if a path is
-    /// configured. Persistence failures are deliberately silent — the
-    /// in-process db stays authoritative.
+    /// built against tuned state), and persists eagerly — one appended log
+    /// line — if a path is configured. Persistence failures are
+    /// deliberately silent — the in-process db stays authoritative.
     pub fn record(&self, key: TuneKey, entry: TunedEntry) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
         inner.entries.insert(key, entry);
         // ordering: Relaxed — generation is a pure invalidation counter mixed into plan fingerprints; the entries it guards are published by the mutex, not by this atomic.
-        self.generation.fetch_add(1, Relaxed);
-        if let Some(path) = inner.path.clone() {
-            let doc = render(&inner.entries, self.generation.load(Relaxed));
-            drop(inner);
-            if write_atomic(&path, &doc).is_ok() {
-                count_tune(TuneEvent::Persist);
-            }
+        let generation = self.generation.fetch_add(1, Relaxed) + 1;
+        let persisted = inner.store.append(
+            || encode_entry(&key, &entry),
+            inner.entries.len(),
+            || render(&inner.entries, generation),
+        );
+        drop(guard);
+        if matches!(persisted, Ok(true)) {
+            count_tune(TuneEvent::Persist);
         }
         if iatf_journal::is_enabled() {
             // The record points back at the sweep winner that produced it
@@ -189,18 +196,17 @@ impl TuningDb {
     /// they are when a new winner is recorded. Returns whether an entry
     /// existed.
     pub fn remove(&self, key: &TuneKey) -> bool {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.entries.remove(key).is_none() {
+        let mut guard = self.inner.lock().unwrap();
+        if guard.entries.remove(key).is_none() {
             return false;
         }
         // ordering: Relaxed — invalidation counter bump; entry state is mutex-guarded.
-        self.generation.fetch_add(1, Relaxed);
-        if let Some(path) = inner.path.clone() {
-            let doc = render(&inner.entries, self.generation.load(Relaxed));
-            drop(inner);
-            if write_atomic(&path, &doc).is_ok() {
-                count_tune(TuneEvent::Persist);
-            }
+        let generation = self.generation.fetch_add(1, Relaxed) + 1;
+        let inner = &mut *guard;
+        let persisted = inner.store.compact(|| render(&inner.entries, generation));
+        drop(guard);
+        if matches!(persisted, Ok(true)) {
+            count_tune(TuneEvent::Persist);
         }
         if iatf_journal::is_enabled() {
             // Cause is ambient: a drift-triggered eviction runs inside the
@@ -232,71 +238,76 @@ impl TuningDb {
         self.len() == 0
     }
 
-    /// Drops every entry (in-memory only; the on-disk file is untouched)
-    /// and bumps the generation. Benchmarks use this for hermetic runs.
+    /// Drops every entry (in-memory only; the on-disk file is untouched
+    /// until the next record compacts it) and bumps the generation.
+    /// Benchmarks use this for hermetic runs.
     pub fn clear(&self) {
-        self.inner.lock().unwrap().entries.clear();
+        let mut inner = self.inner.lock().unwrap();
+        inner.entries.clear();
+        inner.store.invalidate();
         // ordering: Relaxed — invalidation counter bump; entry state is mutex-guarded.
         self.generation.fetch_add(1, Relaxed);
     }
 
     /// Points persistence somewhere else (or `None` to disable). Does not
-    /// reload; combine with [`load_from`](Self::load_from) if needed.
+    /// reload; combine with [`load_from`](Self::load_from) if needed. The
+    /// next record writes the whole map there.
     pub fn set_path(&self, path: Option<PathBuf>) {
-        self.inner.lock().unwrap().path = path;
+        self.inner.lock().unwrap().store.set_path(path);
     }
 
-    /// Replaces the in-memory entries with the contents of `path`.
-    /// Corruption of any kind empties the db and counts one `DbCorrupt`
-    /// event; this function never panics on file contents.
+    /// Replaces the in-memory entries with the contents of `path` and the
+    /// log lines appended after it. Corruption of the snapshot empties the
+    /// db and counts one `DbCorrupt` event; each torn or invalid log line
+    /// is skipped and counts one. This function never panics on file
+    /// contents.
     pub fn load_from(&self, path: &Path) -> LoadOutcome {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                self.inner.lock().unwrap().entries.clear();
-                return LoadOutcome::Missing;
+        match store::load(path, SCHEMA_VERSION, "entries", decode_entry) {
+            Load::Found {
+                doc,
+                entries,
+                replayed,
+                bad,
+            } => {
+                for _ in 0..bad {
+                    count_tune(TuneEvent::DbCorrupt);
+                }
+                // every logged record bumped the generation once
+                let generation = doc.get("generation").and_then(Json::as_u64).unwrap_or(1);
+                let n = entries.len();
+                self.replace(entries, Some(generation.max(1) + replayed));
+                LoadOutcome::Loaded(n)
             }
-            Err(_) => return self.reject(),
-        };
-        let Ok(doc) = parse_json(&text) else {
-            return self.reject();
-        };
-        if doc.get("schema").and_then(Json::as_u64) != Some(SCHEMA_VERSION) {
-            return self.reject();
-        }
-        let Some(raw) = doc.get("entries").and_then(Json::as_array) else {
-            return self.reject();
-        };
-        let generation = doc
-            .get("generation")
-            .and_then(Json::as_u64)
-            .unwrap_or(1)
-            .max(1);
-        let mut entries = HashMap::with_capacity(raw.len());
-        for item in raw {
-            if let Some((key, entry)) = decode_entry(item) {
-                entries.insert(key, entry);
+            Load::Missing => {
+                self.replace(HashMap::new(), None);
+                LoadOutcome::Missing
+            }
+            Load::Corrupt => {
+                self.replace(HashMap::new(), None);
+                count_tune(TuneEvent::DbCorrupt);
+                LoadOutcome::Corrupt
             }
         }
-        let n = entries.len();
-        self.inner.lock().unwrap().entries = entries;
-        // ordering: Relaxed — generation is a version stamp; the entries map itself is published by the mutex held above.
-        self.generation.store(generation, Relaxed);
-        LoadOutcome::Loaded(n)
     }
 
     /// All recorded entries, sorted by encoded key (export / reporting).
     pub fn entries(&self) -> Vec<(TuneKey, TunedEntry)> {
         let inner = self.inner.lock().unwrap();
         let mut out: Vec<_> = inner.entries.iter().map(|(k, v)| (*k, *v)).collect();
-        out.sort_by_key(|(k, _)| k.encode());
+        out.sort_by_cached_key(|(k, _)| k.encode());
         out
     }
 
-    fn reject(&self) -> LoadOutcome {
-        self.inner.lock().unwrap().entries.clear();
-        count_tune(TuneEvent::DbCorrupt);
-        LoadOutcome::Corrupt
+    /// Installs a wholesale-replaced map (and, if given, its generation);
+    /// the next record compacts it to disk.
+    fn replace(&self, entries: HashMap<TuneKey, TunedEntry>, generation: Option<u64>) {
+        let mut inner = self.inner.lock().unwrap();
+        inner.entries = entries;
+        inner.store.invalidate();
+        if let Some(generation) = generation {
+            // ordering: Relaxed — generation is a version stamp; the entries map itself is published by the mutex held here.
+            self.generation.store(generation, Relaxed);
+        }
     }
 }
 
@@ -332,55 +343,31 @@ fn decode_entry(item: &Json) -> Option<(TuneKey, TunedEntry)> {
     entry.valid().then_some((key, entry))
 }
 
-fn render(entries: &HashMap<TuneKey, TunedEntry>, generation: u64) -> String {
+/// One entry's JSON object: an element of the snapshot's `entries` array
+/// and, stamped with its epoch, one log line.
+fn encode_entry(k: &TuneKey, e: &TunedEntry) -> Json {
+    Json::object()
+        .set("key", k.encode().as_str())
+        .set("pack", u64::from(e.pack))
+        .set("group_packs", e.group_packs)
+        .set("l1_fraction", e.l1_fraction)
+        .set("parallel", e.parallel)
+        .set("tuned_gflops", e.tuned_gflops)
+        .set("heuristic_gflops", e.heuristic_gflops)
+        .set("noise", e.noise)
+        .set("journal_event", e.provenance.journal_event)
+        .set("host", format!("{:016x}", e.provenance.host).as_str())
+        .set("recorded_at", e.provenance.recorded_at)
+}
+
+fn render(entries: &HashMap<TuneKey, TunedEntry>, generation: u64) -> Json {
     let mut sorted: Vec<_> = entries.iter().collect();
-    sorted.sort_by_key(|(k, _)| k.encode());
-    let items: Vec<Json> = sorted
-        .into_iter()
-        .map(|(k, e)| {
-            Json::object()
-                .set("key", k.encode().as_str())
-                .set("pack", u64::from(e.pack))
-                .set("group_packs", e.group_packs)
-                .set("l1_fraction", e.l1_fraction)
-                .set("parallel", e.parallel)
-                .set("tuned_gflops", e.tuned_gflops)
-                .set("heuristic_gflops", e.heuristic_gflops)
-                .set("noise", e.noise)
-                .set("journal_event", e.provenance.journal_event)
-                .set("host", format!("{:016x}", e.provenance.host).as_str())
-                .set("recorded_at", e.provenance.recorded_at)
-        })
-        .collect();
+    sorted.sort_by_cached_key(|(k, _)| k.encode());
+    let items: Vec<Json> = sorted.into_iter().map(|(k, e)| encode_entry(k, e)).collect();
     Json::object()
         .set("schema", SCHEMA_VERSION)
         .set("generation", generation)
         .set("entries", items)
-        .to_pretty()
-}
-
-pub(crate) fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no file name"))?;
-    let tmp = path.with_file_name(format!(
-        ".{}.tmp.{}",
-        file_name.to_string_lossy(),
-        std::process::id()
-    ));
-    std::fs::write(&tmp, contents)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -449,6 +436,23 @@ mod tests {
         assert!(db.generation() > g1);
     }
 
+    /// Removes a db file and its log.
+    fn cleanup(path: &Path) {
+        std::fs::remove_file(path).ok();
+        std::fs::remove_file(store::log_path(path)).ok();
+    }
+
+    fn log_lines(path: &Path) -> usize {
+        std::fs::read_to_string(store::log_path(path)).map_or(0, |t| t.lines().count())
+    }
+
+    /// Entries of the snapshot alone: what a reader that knows no log
+    /// (the parent format) sees.
+    fn snapshot_entries(path: &Path) -> usize {
+        let doc = iatf_obs::parse_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+        doc.get("entries").and_then(Json::as_array).unwrap().len()
+    }
+
     #[test]
     fn remove_evicts_bumps_generation_and_persists() {
         let path = temp_path("remove");
@@ -456,10 +460,13 @@ mod tests {
         db.set_path(Some(path.clone()));
         db.record(sample_key(4), sample_entry());
         db.record(sample_key(5), sample_entry());
+        assert_eq!(log_lines(&path), 1, "the second record is one log line");
         let g1 = db.generation();
         assert!(db.remove(&sample_key(4)));
         assert!(db.generation() > g1, "remove must invalidate cached plans");
         assert!(db.lookup(&sample_key(4)).is_none());
+        // The eviction compacted: the snapshot alone holds the survivor.
+        assert_eq!((snapshot_entries(&path), log_lines(&path)), (1, 0));
         // Removing a missing key is a no-op: no generation churn.
         let g2 = db.generation();
         assert!(!db.remove(&sample_key(4)));
@@ -469,7 +476,8 @@ mod tests {
         assert_eq!(fresh.load_from(&path), LoadOutcome::Loaded(1));
         assert!(fresh.lookup(&sample_key(4)).is_none());
         assert!(fresh.lookup(&sample_key(5)).is_some());
-        std::fs::remove_file(&path).ok();
+        assert_eq!(fresh.generation(), db.generation());
+        cleanup(&path);
     }
 
     #[test]
@@ -489,12 +497,140 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
             .count();
         assert_eq!(strays, 0);
+        // The first record after set_path wrote the snapshot, the second
+        // only appended: a log-less reader sees the first alone.
+        assert_eq!((snapshot_entries(&path), log_lines(&path)), (1, 1));
 
         let fresh = TuningDb::in_memory();
         assert_eq!(fresh.load_from(&path), LoadOutcome::Loaded(2));
         assert_eq!(fresh.lookup(&sample_key(4)), Some(sample_entry()));
+        assert_eq!(fresh.lookup(&sample_key(5)).map(|e| e.pack), Some(0));
         assert_eq!(fresh.generation(), db.generation());
-        std::fs::remove_file(&path).ok();
+        cleanup(&path);
+    }
+
+    #[test]
+    fn torn_and_garbage_log_lines_are_skipped_and_counted() {
+        let path = temp_path("torn");
+        let db = TuningDb::in_memory();
+        db.set_path(Some(path.clone()));
+        for n in 1..=4 {
+            db.record(sample_key(n), sample_entry());
+        }
+        // a garbage line in the middle, a line torn mid-write at the end
+        let log = store::log_path(&path);
+        let text = std::fs::read_to_string(&log).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3);
+        let torn = &lines[2][..lines[2].len() / 2];
+        let invalid = lines[2].replacen("\"key\":\"", "\"key\":\"x", 1);
+        lines[2] = &invalid;
+        let doctored = format!("{}\n{}\n{}", lines.join("\n"), "%%garbage%%", torn);
+        std::fs::write(&log, doctored).unwrap();
+
+        let before = iatf_obs::tune_count(iatf_obs::TuneEvent::DbCorrupt);
+        let fresh = TuningDb::in_memory();
+        // snapshot (key 1) + two intact lines (keys 2, 3)
+        assert_eq!(fresh.load_from(&path), LoadOutcome::Loaded(3));
+        assert!(fresh.lookup(&sample_key(4)).is_none());
+        if iatf_obs::is_enabled() {
+            let skipped = iatf_obs::tune_count(iatf_obs::TuneEvent::DbCorrupt) - before;
+            assert_eq!(skipped, 3, "invalid entry, garbage and torn line");
+        }
+        cleanup(&path);
+    }
+
+    #[test]
+    fn superseded_log_lines_are_not_replayed() {
+        // A crash between a compaction's rename and its truncate leaves
+        // the previous epoch's lines beside the new snapshot.
+        let path = temp_path("superseded");
+        let db = TuningDb::in_memory();
+        db.set_path(Some(path.clone()));
+        db.record(sample_key(1), sample_entry());
+        db.record(sample_key(2), sample_entry());
+        let old_log = std::fs::read(store::log_path(&path)).unwrap();
+        assert!(db.remove(&sample_key(2)));
+        std::fs::write(store::log_path(&path), old_log).unwrap();
+        let fresh = TuningDb::in_memory();
+        assert_eq!(fresh.load_from(&path), LoadOutcome::Loaded(1));
+        assert!(fresh.lookup(&sample_key(2)).is_none(), "eviction resurrected");
+        cleanup(&path);
+    }
+
+    /// Random sequences of record / remove / clear / set_path: after every
+    /// mutation that persists, a fresh load reproduces the in-memory
+    /// entries and generation exactly, and the log never holds more than
+    /// max(64, entries) lines.
+    #[test]
+    fn random_mutation_sequences_reload_exactly() {
+        let paths = [temp_path("prop-a"), temp_path("prop-b")];
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % bound
+        };
+        for _ in 0..48 {
+            let db = TuningDb::in_memory();
+            let mut at = next(2) as usize;
+            db.set_path(Some(paths[at].clone()));
+            // on disk is what memory holds (false after clear / set_path)
+            let mut synced = false;
+            for _ in 0..120 {
+                match next(20) {
+                    0 => {
+                        db.clear();
+                        synced = false;
+                    }
+                    1 => {
+                        at = next(2) as usize;
+                        db.set_path(Some(paths[at].clone()));
+                        synced = false;
+                    }
+                    2..=5 => synced |= db.remove(&sample_key(next(96) as u32)),
+                    _ => {
+                        let entry = TunedEntry {
+                            group_packs: next(64),
+                            tuned_gflops: next(1000) as f64 / 8.0,
+                            ..sample_entry()
+                        };
+                        db.record(sample_key(next(96) as u32), entry);
+                        synced = true;
+                    }
+                }
+                assert!(log_lines(&paths[at]) <= db.len().max(store::COMPACT_LINES));
+                if synced {
+                    let fresh = TuningDb::in_memory();
+                    assert_eq!(fresh.load_from(&paths[at]), LoadOutcome::Loaded(db.len()));
+                    assert_eq!(fresh.entries(), db.entries());
+                    assert_eq!(fresh.generation(), db.generation());
+                }
+            }
+        }
+        paths.iter().for_each(|p| cleanup(p));
+    }
+
+    #[test]
+    fn a_log_beside_an_epochless_snapshot_is_not_its_own() {
+        // The parent format has no epoch and keeps no log: a stray log
+        // beside such a snapshot must not be replayed onto it.
+        let path = temp_path("epochless");
+        std::fs::write(
+            &path,
+            r#"{"schema": 1, "generation": 3, "entries": []}"#,
+        )
+        .unwrap();
+        std::fs::write(
+            store::log_path(&path),
+            "{\"key\": \"0:0:4:4:4:0:0:1024:1\", \"pack\": 2, \"group_packs\": 8, \"l1_fraction\": 0.75, \"parallel\": false, \"tuned_gflops\": 3.5, \"heuristic_gflops\": 3.1, \"noise\": 0.02, \"epoch\": 0}\n",
+        )
+        .unwrap();
+        let db = TuningDb::in_memory();
+        assert_eq!(db.load_from(&path), LoadOutcome::Loaded(0));
+        assert_eq!(db.generation(), 3);
+        cleanup(&path);
     }
 
     #[test]
@@ -587,12 +723,18 @@ mod tests {
         let partial = db.lookup(&sample_key(5)).unwrap();
         assert_eq!(partial.provenance.journal_event, 17);
         assert_eq!(partial.provenance.host, 0);
-        // And a re-render emits the provenance fields for both.
+        // And the compaction of the first record after set_path re-renders
+        // the provenance fields for all three; a logged record carries them
+        // too.
         db.set_path(Some(path.clone()));
         db.record(sample_key(6), sample_entry());
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("journal_event"));
+        assert_eq!(text.matches("journal_event").count(), 3);
         assert!(text.contains("deadbeefcafef00d"));
-        std::fs::remove_file(&path).ok();
+        db.record(sample_key(7), sample_entry());
+        let line = std::fs::read_to_string(store::log_path(&path)).unwrap();
+        assert!(line.contains("\"journal_event\":123456789"), "{line}");
+        assert!(line.contains("deadbeefcafef00d"));
+        cleanup(&path);
     }
 }

@@ -10,10 +10,13 @@
 //! * Location: `$IATF_WATCH_ENVELOPES` if set (empty string disables
 //!   persistence), else `$HOME/.cache/iatf/envelopes.json`, else
 //!   in-memory only.
-//! * Writes are atomic (temp file + rename), the format is versioned
-//!   ([`ENVELOPE_SCHEMA_VERSION`]), and a corrupt file degrades to an
-//!   empty db: detection falls back to self-calibrated envelopes, nothing
-//!   panics. Individually malformed entries are skipped, not fatal.
+//! * A record appends one line to an `<envelopes>.log` sibling and the
+//!   snapshot is rewritten atomically (temp file + rename) only when the
+//!   log is compacted — the same store the tuning db uses. The format is
+//!   versioned ([`ENVELOPE_SCHEMA_VERSION`]), and a corrupt file degrades
+//!   to an empty db: detection falls back to self-calibrated envelopes,
+//!   nothing panics. Individually malformed entries and log lines are
+//!   skipped, not fatal.
 //!
 //! [`TuningDb`]: crate::TuningDb
 
@@ -21,10 +24,10 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
-use iatf_obs::{parse_json, Json};
+use iatf_obs::Json;
 
-use crate::db::write_atomic;
 use crate::key::TuneKey;
+use crate::store::{self, Load, LogStore};
 
 /// On-disk envelope format version; files carrying a different version
 /// are treated as absent.
@@ -89,7 +92,7 @@ impl PerfEnvelope {
 
 struct Inner {
     entries: HashMap<TuneKey, PerfEnvelope>,
-    path: Option<PathBuf>,
+    store: LogStore,
 }
 
 /// Process-wide envelope store, persisted alongside the tuning db.
@@ -116,7 +119,7 @@ impl EnvelopeDb {
         EnvelopeDb {
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
-                path: None,
+                store: LogStore::default(),
             }),
         }
     }
@@ -140,19 +143,21 @@ impl EnvelopeDb {
         self.inner.lock().unwrap().entries.get(key).copied()
     }
 
-    /// Records (or replaces) an envelope and persists eagerly if a path
-    /// is configured. Invalid envelopes are dropped rather than stored.
+    /// Records (or replaces) an envelope and persists eagerly — one
+    /// appended log line — if a path is configured. Invalid envelopes are
+    /// dropped rather than stored.
     pub fn record(&self, key: TuneKey, envelope: PerfEnvelope) {
         if !envelope.valid() {
             return;
         }
-        let mut inner = self.inner.lock().unwrap();
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
         inner.entries.insert(key, envelope);
-        if let Some(path) = inner.path.clone() {
-            let doc = render(&inner.entries);
-            drop(inner);
-            let _ = write_atomic(&path, &doc);
-        }
+        let _ = inner.store.append(
+            || encode_entry(&key, &envelope),
+            inner.entries.len(),
+            || render(&inner.entries),
+        );
     }
 
     /// Number of recorded envelopes.
@@ -165,58 +170,47 @@ impl EnvelopeDb {
         self.len() == 0
     }
 
-    /// Drops every envelope (in-memory only).
+    /// Drops every envelope (in-memory only until the next record
+    /// compacts the file).
     pub fn clear(&self) {
-        self.inner.lock().unwrap().entries.clear();
+        self.replace(HashMap::new());
     }
 
     /// Points persistence somewhere else (or `None` to disable).
     pub fn set_path(&self, path: Option<PathBuf>) {
-        self.inner.lock().unwrap().path = path;
+        self.inner.lock().unwrap().store.set_path(path);
     }
 
     /// All recorded envelopes, sorted by encoded key.
     pub fn entries(&self) -> Vec<(TuneKey, PerfEnvelope)> {
         let inner = self.inner.lock().unwrap();
         let mut out: Vec<_> = inner.entries.iter().map(|(k, v)| (*k, *v)).collect();
-        out.sort_by_key(|(k, _)| k.encode());
+        out.sort_by_cached_key(|(k, _)| k.encode());
         out
     }
 
-    /// Replaces the in-memory envelopes with the contents of `path`;
-    /// corruption of any kind empties the store and never panics.
+    /// Replaces the in-memory envelopes with the contents of `path` and
+    /// the log lines appended after it; corruption of any kind empties the
+    /// store (a bad log line only drops itself) and never panics.
     pub fn load_from(&self, path: &Path) -> EnvelopeLoad {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                self.inner.lock().unwrap().entries.clear();
-                return EnvelopeLoad::Missing;
-            }
-            Err(_) => return self.reject(),
-        };
-        let Ok(doc) = parse_json(&text) else {
-            return self.reject();
-        };
-        if doc.get("schema").and_then(Json::as_u64) != Some(ENVELOPE_SCHEMA_VERSION) {
-            return self.reject();
-        }
-        let Some(raw) = doc.get("envelopes").and_then(Json::as_array) else {
-            return self.reject();
-        };
-        let mut entries = HashMap::with_capacity(raw.len());
-        for item in raw {
-            if let Some((key, env)) = decode_entry(item) {
-                entries.insert(key, env);
-            }
-        }
-        let n = entries.len();
-        self.inner.lock().unwrap().entries = entries;
-        EnvelopeLoad::Loaded(n)
+        let (entries, outcome) =
+            match store::load(path, ENVELOPE_SCHEMA_VERSION, "envelopes", decode_entry) {
+                Load::Found { entries, .. } => {
+                    let n = entries.len();
+                    (entries, EnvelopeLoad::Loaded(n))
+                }
+                Load::Missing => (HashMap::new(), EnvelopeLoad::Missing),
+                Load::Corrupt => (HashMap::new(), EnvelopeLoad::Corrupt),
+            };
+        self.replace(entries);
+        outcome
     }
 
-    fn reject(&self) -> EnvelopeLoad {
-        self.inner.lock().unwrap().entries.clear();
-        EnvelopeLoad::Corrupt
+    /// Installs a wholesale-replaced map; the next record compacts it.
+    fn replace(&self, entries: HashMap<TuneKey, PerfEnvelope>) {
+        let mut inner = self.inner.lock().unwrap();
+        inner.entries = entries;
+        inner.store.invalidate();
     }
 }
 
@@ -235,24 +229,22 @@ fn decode_entry(item: &Json) -> Option<(TuneKey, PerfEnvelope)> {
     env.valid().then_some((key, env))
 }
 
-fn render(entries: &HashMap<TuneKey, PerfEnvelope>) -> String {
+fn encode_entry(k: &TuneKey, e: &PerfEnvelope) -> Json {
+    Json::object()
+        .set("key", k.encode().as_str())
+        .set("expected_ns", e.expected_ns)
+        .set("expected_gflops", e.expected_gflops)
+        .set("noise", e.noise)
+        .set("source", e.source.name())
+}
+
+fn render(entries: &HashMap<TuneKey, PerfEnvelope>) -> Json {
     let mut sorted: Vec<_> = entries.iter().collect();
-    sorted.sort_by_key(|(k, _)| k.encode());
-    let items: Vec<Json> = sorted
-        .into_iter()
-        .map(|(k, e)| {
-            Json::object()
-                .set("key", k.encode().as_str())
-                .set("expected_ns", e.expected_ns)
-                .set("expected_gflops", e.expected_gflops)
-                .set("noise", e.noise)
-                .set("source", e.source.name())
-        })
-        .collect();
+    sorted.sort_by_cached_key(|(k, _)| k.encode());
+    let items: Vec<Json> = sorted.into_iter().map(|(k, e)| encode_entry(k, e)).collect();
     Json::object()
         .set("schema", ENVELOPE_SCHEMA_VERSION)
         .set("envelopes", items)
-        .to_pretty()
 }
 
 #[cfg(test)]
@@ -315,7 +307,15 @@ mod tests {
             fresh.lookup(&sample_key(12)).map(|e| e.source),
             Some(EnvelopeSource::Observed)
         );
+        // the second record was one log line; a torn one after it drops
+        // only itself
+        let log = store::log_path(&path);
+        assert_eq!(std::fs::read_to_string(&log).unwrap().lines().count(), 1);
+        let mut f = std::fs::OpenOptions::new().append(true).open(&log).unwrap();
+        std::io::Write::write_all(&mut f, b"{\"key\": \"0:1:9:9").unwrap();
+        assert_eq!(fresh.load_from(&path), EnvelopeLoad::Loaded(2));
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&log).ok();
     }
 
     #[test]

@@ -14,15 +14,18 @@
 //!
 //! * [`key`] — [`TuneKey`], the input fingerprint the db is indexed by,
 //!   with a stable string encoding for the on-disk format.
-//! * [`measure`] — the calibrated sweep harness: interleaved rounds,
-//!   min-of-rounds timing, and a noise estimate, over opaque candidate
-//!   closures supplied by the caller.
+//! * [`measure`] — the racing sweep harness: interleaved rounds,
+//!   min-of-rounds timing and a noise estimate over opaque candidate
+//!   closures supplied by the caller, dropping candidates that have
+//!   clearly lost and stopping once the ranking is decided.
 //! * [`db`] — [`TuningDb`]: a mutex-guarded map plus a monotonically
 //!   increasing *generation* that planners fold into their plan-cache
 //!   fingerprints, so recording a new winner invalidates stale cached
-//!   plans. Persistence is versioned, atomic (temp file + rename), and
-//!   corruption-tolerant: a truncated or garbage file degrades to an
-//!   empty db — heuristics keep working, nothing panics.
+//!   plans. A record appends one line to a log beside the snapshot; the
+//!   snapshot is versioned, rewritten atomically (temp file + rename) only
+//!   when the log is compacted, and corruption-tolerant: a truncated or
+//!   garbage file degrades to an empty db — heuristics keep working,
+//!   nothing panics.
 //! * [`envelope`] — [`EnvelopeDb`]: persisted performance envelopes
 //!   (expected warm-dispatch latency and throughput per fingerprint) that
 //!   the watch layer compares live traffic against; same persistence
@@ -39,6 +42,7 @@ pub mod db;
 pub mod envelope;
 pub mod key;
 pub mod measure;
+mod store;
 
 pub use db::{LoadOutcome, Provenance, TunedEntry, TuningDb, SCHEMA_VERSION};
 pub use envelope::{

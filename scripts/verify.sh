@@ -164,7 +164,7 @@ echo "    wrote target/BENCH_3.json (promote to ./BENCH_3.json to refresh the ba
 
 echo "==> input-aware autotuner smoke (reproduce tune)"
 mkdir -p target/tune-tests
-rm -f target/tune-tests/ci-tune.json
+rm -f target/tune-tests/ci-tune.json target/tune-tests/ci-tune.json.log
 IATF_TUNE_DB=target/tune-tests/ci-tune.json \
   timeout 600 cargo run -q --release -p iatf-bench --features parallel,obs --bin reproduce -- \
   tune --quick --json > target/BENCH_4.json
@@ -192,17 +192,28 @@ for p in pts:
 # started from the fully packed base (PackPolicy::Always), with the
 # in-place plans among its candidates, the recorded winner has to beat
 # that base beyond noise on >=25% of the grid. (Against the default base
-# the same floor no longer holds -- the Pack Selecter streams in place by
-# itself and the sweep finds 1-2 strict wins in 26 -- which is reported
-# below and is ROADMAP's "tuner that pays for itself" item, not a pass.)
+# the same floor does not hold -- the Pack Selecter streams in place by
+# itself, and a tie within max(noise, 5%) records the heuristic -- so that
+# count is reported below, not gated.)
 frac = doc["beats_packed_points"] / doc["total_points"]
 assert frac >= 0.25, (
     f"tuning from the packed base must beat it beyond noise on >=25% of "
     f"the grid, got {100*frac:.0f}%")
+# The budget is a ceiling: the race stops once it has decided, and no
+# first-touch call (set-up, sweep, serial/parallel race) may overrun it
+# by more than 10%.
+budget = doc["budget_ms"]
+sweeps = sorted(t for p in pts for t in (p["sweep_ms"], p["packed_sweep_ms"]))
+worst = [p for p in pts if max(p["sweep_ms"], p["packed_sweep_ms"]) > 1.1 * budget]
+assert not worst, (
+    f"sweeps over 1.1x their {budget} ms budget: " + ", ".join(
+        f"{p['op']}/{p['dtype']} n={p['n']} "
+        f"{max(p['sweep_ms'], p['packed_sweep_ms']):.1f} ms" for p in worst))
 print(f"    {doc['beats_packed_points']}/{doc['total_points']} points strictly "
       f"faster than the packed base ({100*frac:.0f}%), "
       f"{doc['strictly_faster_points']}/{doc['total_points']} than the default "
-      f"heuristic, db entries {doc['db_entries']}")
+      f"heuristic, db entries {doc['db_entries']}; sweep median "
+      f"{sweeps[len(sweeps) // 2]:.2f} ms, max {sweeps[-1]:.2f} ms of {budget} ms")
 EOF
 test -s target/tune-tests/ci-tune.json || {
   echo "error: autotuner did not persist its db to IATF_TUNE_DB"; exit 1; }
@@ -280,7 +291,7 @@ echo "==> watch drift-detection smoke (reproduce watch)"
 # must not contaminate the user's real caches. The same run doubles as
 # the negative control — events_without_injection gates at exactly zero.
 mkdir -p target/tune-tests
-rm -f target/tune-tests/watch.json target/tune-tests/watch-envelopes.json
+rm -f target/tune-tests/watch.json* target/tune-tests/watch-envelopes.json*
 IATF_TUNE_DB=target/tune-tests/watch.json \
 IATF_WATCH_ENVELOPES=target/tune-tests/watch-envelopes.json \
   timeout 600 cargo run -q --release -p iatf-bench --features watch --bin reproduce -- \
@@ -344,8 +355,8 @@ echo "==> journal provenance: causal-chain selftest (reproduce journal --selftes
 # drift -> retune/db_evict/re-sweep/recalibrate — is present with the
 # right cause id, both in memory and from a fresh disk replay.
 mkdir -p target/tune-tests
-rm -rf target/tune-tests/journal-selftest-db.json \
-       target/tune-tests/journal-selftest-envelopes.json \
+rm -rf target/tune-tests/journal-selftest-db.json* \
+       target/tune-tests/journal-selftest-envelopes.json* \
        target/tune-tests/journal-selftest-ledger
 timeout 600 cargo run -q --release -p iatf-bench --features watch,journal --bin reproduce -- \
   journal --selftest --json > target/BENCH_9_selftest.json
