@@ -284,10 +284,14 @@ pub fn generate_trsm_tri_kernel_traced(m: usize, n: usize, dtype: DataType) -> T
 /// kernels) followed by the register triangular solve of an `mb`-row
 /// diagonal block, over an `nr`-wide B panel.
 ///
-/// Memory layout matches `iatf_kernels::trsm_ukr`'s packed operands, with
-/// both packed-A strips behind `Ptri` (rectangular strip at offset 0, the
-/// triangle at `kk·mb·16` bytes) and the row-major panel behind `Pb`
-/// (`row_stride = nr` groups); the block solves rows `kk .. kk+mb`.
+/// Memory layout: the packed rectangular strip at offset 0 of `Ptri`, the
+/// block's triangle after it at `kk·mb·16` bytes (row `r` holds `r+1`
+/// groups, reciprocal diagonal last), and the row-major panel behind `Pb`
+/// (`row_stride = nr` groups); the block solves rows `kk .. kk+mb`. This is
+/// the paper's §4.4 row-packed triangle, not the operand contract of
+/// `iatf_kernels::trsm_ukr`, whose strip continues into the strictly lower
+/// triangle and whose diagonal is a separate run of `mb` groups; the
+/// equivalence tests convert one layout into the other.
 ///
 /// Register budget: `mb·nr` accumulators + `2·mb` A-sliver + `2·nr` X
 /// ping-pong registers — for the main 4×4 block exactly the 32-register
@@ -440,9 +444,9 @@ pub fn generate_trsm_block_kernel_traced(
 /// (direct diagonal — multiplied, never divided), then the rectangular FMLA
 /// accumulation of the `kk` rows above, then an `alpha` scale and store.
 ///
-/// Memory layout matches the TRSM block kernel: both packed-A strips behind
-/// `Ptri` (rect strip at offset 0, the triangle at `kk·mb·16` bytes, with a
-/// *direct* diagonal) and the row-major panel behind `Pb` (`row_stride =
+/// Memory layout matches the generated TRSM block kernel: rect strip at
+/// offset 0 of `Ptri`, the row-packed triangle at `kk·mb·16` bytes (with a
+/// *direct* diagonal), and the row-major panel behind `Pb` (`row_stride =
 /// nr` groups); the block computes rows `kk .. kk+mb` from the *original*
 /// panel values (the bottom-up driver guarantees rows ≤ kk+mb are still
 /// original).

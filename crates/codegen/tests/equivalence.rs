@@ -23,6 +23,26 @@ impl Rng {
     }
 }
 
+/// The Rust kernels' A operands for a generated kernel's packed A: `rect`
+/// (`kk` slivers of `m` groups) and the row-packed triangle `tri` (row `r`
+/// holds `r+1` groups, diagonal last) become the strip continued by `m`
+/// slivers holding the strictly lower triangle (sliver `kk + j`, row
+/// `i > j`) and the `m` diagonal groups.
+fn kernel_operands(rect: &[f64], tri: &[f64], m: usize, p: usize) -> (Vec<f64>, Vec<f64>) {
+    let mut strip = rect.to_vec();
+    strip.resize(rect.len() + m * m * p, 0.0);
+    let mut diag = vec![0.0; m * p];
+    for i in 0..m {
+        let row = i * (i + 1) / 2 * p;
+        for j in 0..i {
+            let at = rect.len() + (j * m + i) * p;
+            strip[at..at + p].copy_from_slice(&tri[row + j * p..row + (j + 1) * p]);
+        }
+        diag[i * p..(i + 1) * p].copy_from_slice(&tri[row + i * p..row + (i + 1) * p]);
+    }
+    (strip, diag)
+}
+
 /// Runs one (mc, nc, k) comparison for DGEMM: the interpreted IR kernel and
 /// the Rust kernel must agree bit-for-bit (both use fused f64 arithmetic in
 /// the same order).
@@ -154,19 +174,20 @@ fn generated_trsm_matches_rust_kernel() {
             // column-major panel m×n (column stride = m groups)
             let panel0: Vec<f64> = (0..m * n * p2).map(|_| rng.next()).collect();
 
-            // Rust fused kernel operates on the same layout: rows are
-            // groups (row stride = GROUP), columns m groups apart.
+            // Rust fused kernel on the same panel: rows are groups (row
+            // stride = GROUP), columns m groups apart; A in its contract.
+            let (strip, diag) = kernel_operands(&[], &tri, m, p2);
             let mut panel_rust = panel0.clone();
             macro_rules! call {
                 ($m:literal, $col:expr) => {
-                    // SAFETY: the buffers above are sized exactly to the kernel's packed extents for these dimensions, and the strides passed match that sizing (same layout the generated-assembly side uses).
+                    // SAFETY: `strip` holds the m slivers of m groups and `diag` the m groups kk = 0 addresses; the panel column is m groups at the row stride passed.
                     unsafe {
                         trsm_ukr::<F64x2, $m, 1>(
                             0,
-                            core::ptr::null(),
-                            0,
-                            0,
-                            tri.as_ptr(),
+                            strip.as_ptr(),
+                            p2,
+                            m * p2,
+                            diag.as_ptr(),
                             panel_rust.as_mut_ptr().add($col * m * p2),
                             0,
                             p2, // row stride: consecutive groups
@@ -347,18 +368,19 @@ fn generated_blocked_trsm_matches_rust_kernel() {
             // row-major panel (kk + mb rows × nr groups)
             let panel0: Vec<f64> = (0..(kk + mb) * nr * p2).map(|_| rng.next()).collect();
 
-            // Rust fused kernel
+            // Rust fused kernel, A converted to its contract
+            let (strip, diag) = kernel_operands(&abuf[..rect_len], &abuf[rect_len..], mb, p2);
             let mut panel_rust = panel0.clone();
             macro_rules! call {
                 ($m:literal, $n:literal) => {
-                    // SAFETY: the buffers above are sized exactly to the kernel's packed extents for these dimensions, and the strides passed match that sizing (same layout the generated-assembly side uses).
+                    // SAFETY: `strip` holds the `kk + mb` slivers of mb groups and `diag` the mb groups the kernel addresses; the panel is `(kk + mb) × nr` groups at the strides passed.
                     unsafe {
                         trsm_ukr::<F64x2, $m, $n>(
                             kk,
-                            abuf.as_ptr(),
+                            strip.as_ptr(),
                             p2,
                             mb * p2,
-                            abuf.as_ptr().add(rect_len),
+                            diag.as_ptr(),
                             panel_rust.as_mut_ptr(),
                             kk,
                             nr * p2,

@@ -3,16 +3,17 @@
 //!
 //! Every mode's canonical map is affine (`iatf_pack::trsm`), so under
 //! `PackPolicy::Auto` / `Never` both operands are streamed in place: B̂ is
-//! solved or multiplied where it is stored, A's rectangular strips are read
-//! where they are stored, and only the diagonal blocks' triangles are packed
+//! solved or multiplied where it is stored, each diagonal block's strip —
+//! its rectangular part and, continuing it, its strictly lower triangle —
+//! is read where A is stored, and only the `t` diagonal groups are packed
 //! (they carry the reciprocal or direct diagonal and the padded-lane ones).
 //! `PackPolicy::Always` keeps the fully packed path as the ablation and the
 //! bitwise reference; a conjugated complex A keeps the full strip pack too,
 //! since conjugation is not a stride, while its B still runs in place.
 //!
 //! Whatever was decided, the executors address both operands the same way —
-//! a base offset and two signed strides per block / panel — so the hot loops
-//! differ only in *which slice* the base is taken from.
+//! a base offset and two signed strides per block / panel, the same kernels
+//! — so the hot loops differ only in *which slice* the base is taken from.
 
 use crate::config::PackPolicy;
 use crate::elem::CompactElement;
@@ -22,7 +23,7 @@ use iatf_pack::trsm as pk;
 /// Operand access of one triangular plan.
 #[derive(Clone, Debug)]
 pub(crate) struct TriOperands {
-    /// `Direct`: rectangular strips read in place, triangles packed.
+    /// `Direct`: strips and triangles read in place, diagonals packed.
     pub a_plan: OperandPlan,
     /// `Direct`: B̂ solved / multiplied in place.
     pub b_plan: OperandPlan,
@@ -30,14 +31,15 @@ pub(crate) struct TriOperands {
     /// identity on B. Kept for consumers that do their own left/unreversed
     /// in-place addressing and key on it.
     pub pack_b_structural: bool,
-    /// Packed-A layout: full strips + triangles, or triangles only.
+    /// Packed-A layout: full strips + diagonals, or diagonals only.
     pub a_blocks: Vec<pk::ABlockLayout>,
     /// Scalars of packed A per pack.
     pub a_len: usize,
     /// Scalars of B-panel scratch (0 in place).
     pub panel_cap: usize,
-    /// Per diagonal block: where its rectangular strip is read — inside the
-    /// stored A pack (`Direct`) or the packed-A buffer (`Packed`).
+    /// Per diagonal block: where its strip (rectangle, then triangle) is
+    /// read — inside the stored A pack (`Direct`) or the packed-A buffer
+    /// (`Packed`).
     pub rect: Vec<pk::InPlaceAccess>,
     /// Per column panel: where B̂ lives — inside the stored B pack
     /// (`Direct`) or the panel scratch (`Packed`).
@@ -75,7 +77,7 @@ impl TriOperands {
         let rect = a_blocks
             .iter()
             .map(|blk| match a_plan {
-                // packed strip: `r0` slivers of `mb` contiguous groups
+                // packed strip: `r0 + mb` slivers of `mb` contiguous groups
                 OperandPlan::Packed => pk::InPlaceAccess {
                     base: blk.rect_off,
                     row: g,
@@ -136,10 +138,12 @@ impl TriOperands {
             OperandPlan::Packed => self.a_len,
             OperandPlan::Direct => map.t * map.t * g as usize,
         };
-        let rect_ok = self.a_blocks.iter().zip(&self.rect).all(|(blk, acc)| {
-            // an empty strip (first block) only hands its base over
-            acc.base < a_src_len && (blk.r0 == 0 || inside(acc, blk.mb, blk.r0, a_src_len))
-        });
+        // a block's strip runs on through its triangle: `r0 + mb` columns
+        let rect_ok = self
+            .a_blocks
+            .iter()
+            .zip(&self.rect)
+            .all(|(blk, acc)| inside(acc, blk.mb, blk.r0 + blk.mb, a_src_len));
         let panel_ok = panels.iter().zip(&self.panel).all(|(&(_, w), acc)| {
             let len = match self.b_plan {
                 OperandPlan::Packed => pk::panel_b_len::<E>(p, map.t, w),
@@ -150,8 +154,8 @@ impl TriOperands {
         rect_ok && panel_ok
     }
 
-    /// Packs one pack's coefficient data: full strips + triangles, or the
-    /// diagonal triangles alone. `recip` selects reciprocal (TRSM) or
+    /// Packs one pack's coefficient data: full strips + diagonals, or the
+    /// `t` diagonal groups alone. `recip` selects reciprocal (TRSM) or
     /// direct (TRMM) diagonals.
     pub fn pack_a<E: CompactElement>(
         &self,
@@ -194,7 +198,7 @@ impl TriOperands {
     pub fn pack_a_str(&self) -> &'static str {
         match self.a_plan {
             OperandPlan::Packed => "packed",
-            OperandPlan::Direct => "triangle-only",
+            OperandPlan::Direct => "diagonal-only",
         }
     }
 

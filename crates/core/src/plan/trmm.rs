@@ -39,8 +39,8 @@ pub struct TrmmPlan<E: CompactElement> {
     /// the identity on B — see [`TrsmPlan::pack_b_structural`](super::TrsmPlan);
     /// what this plan does is [`Self::b_plan`].
     pub pack_b_structural: bool,
-    /// A access decision: `Direct` reads the rectangular strips in place
-    /// and packs only the diagonal blocks' triangles.
+    /// A access decision: `Direct` reads the strips and triangles in place
+    /// and packs only the `t` diagonal groups.
     pub a_plan: OperandPlan,
     /// B access decision: `Direct` multiplies B in place, in every mode.
     pub b_plan: OperandPlan,
@@ -269,7 +269,7 @@ impl<E: CompactElement> TrmmPlan<E> {
     ) {
         let b_rows = self.dims.m;
         let pack_b = self.b_plan == OperandPlan::Packed;
-        // rectangular strips come out of the packed buffer or the stored A
+        // strips and triangles come out of the packed buffer or the stored A
         let rect_src = match self.a_plan {
             OperandPlan::Packed => ab,
             OperandPlan::Direct => a_pack,
@@ -310,7 +310,7 @@ impl<E: CompactElement> TrmmPlan<E> {
                         w,
                         blk.mb == E::TRSM_TB && w == E::TRSM_NR,
                     );
-                    // SAFETY: identical operand coverage to the TRSM path — panel rows 0..t × w columns at `at`'s signed strides, the rect strip at `rect`'s, both inside their source slices (`TriOperands::addresses_in_bounds`), the block's packed triangle at `tri_off` inside `ab`; the handle was resolved for this (block, panel) shape at build time.
+                    // SAFETY: identical operand coverage to the TRSM path — panel rows 0..t × w columns at `at`'s signed strides, the strip's `r0 + mb` columns (rectangle, then triangle) at `rect`'s, both inside their source slices (`TriOperands::addresses_in_bounds`), the block's `mb` packed diagonal groups at `tri_off` inside `ab`; the handle was resolved for this (block, panel) shape at build time.
                     unsafe {
                         E::trmm_kernel(
                             self.block_kernels[pi * block_count + bi],

@@ -35,8 +35,8 @@ pub struct TrsmPlan<E: CompactElement> {
     /// Consumers that address B in place themselves, left and unreversed
     /// only, key on this.
     pub pack_b_structural: bool,
-    /// A access decision: `Direct` reads the rectangular strips in place
-    /// and packs only the diagonal blocks' triangles.
+    /// A access decision: `Direct` reads the strips and triangles in place
+    /// and packs only the `t` diagonal groups.
     pub a_plan: OperandPlan,
     /// B access decision: `Direct` solves B in place, in every mode.
     pub b_plan: OperandPlan,
@@ -290,7 +290,7 @@ impl<E: CompactElement> TrsmPlan<E> {
             let _trace = trace::span_arg(trace::SpanKind::Scale, 0);
             pk::scale_b_in_place::<E>(self.p, b_pack, alpha);
         }
-        // rectangular strips come out of the packed buffer or the stored A
+        // strips and triangles come out of the packed buffer or the stored A
         let rect_src = match self.a_plan {
             OperandPlan::Packed => ab,
             OperandPlan::Direct => a_pack,
@@ -328,7 +328,7 @@ impl<E: CompactElement> TrsmPlan<E> {
                         w,
                         blk.mb == E::TRSM_TB && w == E::TRSM_NR,
                     );
-                    // SAFETY: the panel covers canonical rows 0..t × w columns at `at`'s signed strides and the rect strip `r0` slivers of `mb` groups at `rect`'s, all inside their source slices (`TriOperands::addresses_in_bounds`); `tri_off` addresses the block's packed triangle inside `ab`; the handle was resolved for this (block, panel) shape at build time.
+                    // SAFETY: the panel covers canonical rows 0..t × w columns at `at`'s signed strides and the strip's `r0 + mb` columns of `mb` groups (rectangle, then triangle) at `rect`'s, all inside their source slices (`TriOperands::addresses_in_bounds`); `tri_off` addresses the block's `mb` packed diagonal groups inside `ab`; the handle was resolved for this (block, panel) shape at build time.
                     unsafe {
                         E::trsm_kernel(
                             self.block_kernels[pi * block_count + bi],
@@ -516,7 +516,7 @@ mod tests {
             let ex = p.explain();
             assert_eq!(
                 (ex.pack_a.as_str(), ex.pack_b.as_str()),
-                ("triangle-only", "in-place")
+                ("diagonal-only", "in-place")
             );
         }
         // Always keeps the fully packed reference path.
@@ -544,16 +544,28 @@ mod tests {
     }
 
     #[test]
-    fn triangle_only_pack_is_what_explain_predicts() {
-        // 9 rows real: blocks 4+4+1 → 10+10+1 triangle groups per pack,
-        // against 45 for the full strips + triangles.
+    fn diagonal_only_pack_is_what_explain_predicts() {
+        // 9 rows real: blocks 4+4+1 → 9 diagonal groups per pack (the
+        // triangles continue the strips read in place), against
+        // 16+4 + 32+4 + 9+1 = 66 for the full strips + diagonals.
         let cfg = TuningConfig {
             width: VecWidth::W128,
             ..TuningConfig::default()
         };
         let p = TrsmPlan::<f64>::new(TrsmDims::new(9, 4), TrsmMode::LNUN, false, 4, &cfg).unwrap();
         let group_bytes = 2 * 8;
-        assert_eq!(p.explain().predicted_packed_bytes, 2 * 21 * group_bytes);
+        assert_eq!(p.explain().predicted_packed_bytes, 2 * 9 * group_bytes);
+        let always = TuningConfig {
+            pack: crate::config::PackPolicy::Always,
+            ..cfg
+        };
+        let p =
+            TrsmPlan::<f64>::new(TrsmDims::new(9, 4), TrsmMode::LNUN, false, 4, &always).unwrap();
+        let panel_groups = 9 * 4;
+        assert_eq!(
+            p.explain().predicted_packed_bytes,
+            2 * (66 + panel_groups) * group_bytes
+        );
     }
 
     #[test]

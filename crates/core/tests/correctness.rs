@@ -6,7 +6,7 @@ use iatf_baselines::naive;
 use iatf_core::{
     compact_gemm_ex, compact_trsm_ex, BatchPolicy, CompactElement, PackPolicy, TuningConfig,
 };
-use iatf_layout::{CompactBatch, GemmMode, Side, StdBatch, Trans, TrsmMode};
+use iatf_layout::{CompactBatch, Diag, GemmMode, Side, StdBatch, Trans, TrsmMode, Uplo};
 use iatf_simd::{c32, c64, Element};
 
 fn tol<E: Element>(k: usize) -> f64 {
@@ -464,13 +464,31 @@ fn run_tri<E: CompactElement>(
     b
 }
 
+/// `a` with every entry its mode must not read replaced by NaN: the
+/// unreferenced triangle and, in a unit mode, the stored diagonal.
+fn poison_unreferenced<E: CompactElement>(a: &StdBatch<E>, mode: TrsmMode) -> StdBatch<E> {
+    let nan = E::from_f64s(f64::NAN, f64::NAN);
+    StdBatch::from_fn(a.rows(), a.cols(), a.count(), |v, i, j| {
+        let stored = match mode.uplo {
+            Uplo::Lower => i >= j,
+            Uplo::Upper => i <= j,
+        };
+        if stored && !(i == j && mode.diag == Diag::Unit) {
+            a.get(v, i, j)
+        } else {
+            nan
+        }
+    })
+}
+
 /// `Auto` (everything in place) against `Always` (everything packed), bit
 /// for bit, and against the oracle — for one dtype at one width, over all
-/// 16 modes × counts around P × three B shapes × conj × both ops. A comes
-/// from `random_triangular`, whose other half (and unit diagonal) is
-/// poisoned with ~1e30: a rectangular strip read outside the referenced
-/// triangle cannot stay inside the oracle tolerance.
-fn tri_in_place_matches_packed<E: CompactElement>(width: VecWidth) {
+/// 16 modes × counts around P × three B shapes × conj × both ops, every
+/// result finite. A comes from `random_triangular`, whose other half (and
+/// unit diagonal) holds ~1e30; with `poison` those entries are NaN instead,
+/// so a single read outside the referenced triangle — by a strip, by a
+/// triangle read where it is stored, or by a packer — reaches the result.
+fn tri_in_place_matches_packed<E: CompactElement>(width: VecWidth, poison: bool) {
     let alpha = E::from_f64s(1.25, -0.5);
     let dlim = if E::Real::BYTES == 4 { 2e-3 } else { 1e-9 };
     for mode in TrsmMode::all() {
@@ -478,14 +496,19 @@ fn tri_in_place_matches_packed<E: CompactElement>(width: VecWidth) {
             let t = if mode.side == Side::Left { m } else { n };
             for count in counts_around(E::p_at(width)) {
                 let seed = (m * 31 + n) as u64 + count as u64;
-                let a_std = StdBatch::<E>::random_triangular(t, count, mode.uplo, mode.diag, seed);
+                let mut a_std =
+                    StdBatch::<E>::random_triangular(t, count, mode.uplo, mode.diag, seed);
+                if poison {
+                    a_std = poison_unreferenced(&a_std, mode);
+                }
                 let b_std = StdBatch::<E>::random(m, n, count, seed + 1);
                 let a = CompactBatch::from_std_at(&a_std, width);
                 let b0 = CompactBatch::from_std_at(&b_std, width);
                 for conj in [false, true] {
                     for op in [TriOp::Solve, TriOp::Multiply] {
                         let what = format!(
-                            "{op:?} {:?} {mode} {m}x{n} conj={conj} count={count} {width}",
+                            "{op:?} {:?} {mode} {m}x{n} conj={conj} count={count} {width} \
+                             poison={poison}",
                             E::DTYPE
                         );
                         let auto = policy_cfg(PackPolicy::Auto, width);
@@ -505,7 +528,9 @@ fn tri_in_place_matches_packed<E: CompactElement>(width: VecWidth) {
                                 naive::trmm_ref(mode, conj, alpha, &a_std, &mut want);
                             }
                         }
-                        let diff = want.max_abs_diff(&got.to_std());
+                        let got = got.to_std();
+                        assert!(got.as_slice().iter().all(|x| x.is_finite()), "{what}");
+                        let diff = want.max_abs_diff(&got);
                         assert!(diff < dlim, "{what}: diff vs oracle {diff}");
                     }
                 }
@@ -517,10 +542,23 @@ fn tri_in_place_matches_packed<E: CompactElement>(width: VecWidth) {
 #[test]
 fn tri_in_place_is_bitwise_the_packed_path_all_modes_widths_dtypes() {
     for &width in available_widths() {
-        tri_in_place_matches_packed::<f32>(width);
-        tri_in_place_matches_packed::<f64>(width);
-        tri_in_place_matches_packed::<c32>(width);
-        tri_in_place_matches_packed::<c64>(width);
+        tri_in_place_matches_packed::<f32>(width, false);
+        tri_in_place_matches_packed::<f64>(width, false);
+        tri_in_place_matches_packed::<c32>(width, false);
+        tri_in_place_matches_packed::<c64>(width, false);
+    }
+}
+
+/// The poisoned column: the in-place kernels read each diagonal block's
+/// triangle where A is stored, so NaN outside the referenced triangle (and
+/// on a unit diagonal) must never reach a result.
+#[test]
+fn tri_never_reads_outside_the_referenced_triangle_all_modes_widths_dtypes() {
+    for &width in available_widths() {
+        tri_in_place_matches_packed::<f32>(width, true);
+        tri_in_place_matches_packed::<f64>(width, true);
+        tri_in_place_matches_packed::<c32>(width, true);
+        tri_in_place_matches_packed::<c64>(width, true);
     }
 }
 

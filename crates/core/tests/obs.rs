@@ -102,7 +102,7 @@ fn explainer_predictions_match_observed_counters() {
 
     // --- TRSM: 9×4 f64 LNUN (reversed: solved in place from the stored
     // last row down; `Always` gathers and scatters every panel) ---
-    let tri_groups = 10 + 10 + 1; // blocks 4+4+1
+    let diag_groups = 9; // blocks 4+4+1: their diagonals only
     for (cfg, packed, alpha) in [(&cfg, false, 1.0), (&cfg, false, 2.5), (&always, true, 2.5)] {
         obs::reset();
         let plan =
@@ -145,10 +145,10 @@ fn explainer_predictions_match_observed_counters() {
         } else {
             assert_eq!(
                 (ex.pack_a.as_str(), ex.pack_b.as_str()),
-                ("triangle-only", "in-place")
+                ("diagonal-only", "in-place")
             );
             let group_bytes = (ex.p * core::mem::size_of::<f64>()) as u64;
-            assert_eq!(ex.predicted_packed_bytes, packs * tri_groups * group_bytes);
+            assert_eq!(ex.predicted_packed_bytes, packs * diag_groups * group_bytes);
             assert_eq!(snap.packed_bytes_b, 0);
             assert_eq!(phase_calls_of(&snap, obs::Phase::Unpack), 0);
             // one in-place scaling pass per pack, and only when α ≠ 1
@@ -181,7 +181,7 @@ fn explainer_predictions_match_observed_counters() {
         dispatch_total(&snap, obs::Op::Trmm),
         ex.predicted_dispatches
     );
-    assert_eq!(ex.pack_a, "triangle-only");
+    assert_eq!(ex.pack_a, "diagonal-only");
     assert_eq!(ex.pack_b, "in-place");
     assert_eq!(snap.packed_bytes_b, 0);
     assert_eq!(snap.packed_bytes_a, ex.predicted_packed_bytes);

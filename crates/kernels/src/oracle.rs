@@ -102,13 +102,50 @@ pub fn cplx_gemm_tile<R: Real>(
     out
 }
 
-/// Reference for the fused TRSM block kernel on packed operands (real).
+/// Random A operands of one TRSM/TRMM block kernel call in the kernels'
+/// contract (see [`real_trsm_block`]), `g` scalars per group (`p` real,
+/// `2·p` complex): `kk + mr` slivers of `mr` groups — strip entries scaled
+/// by `1/(kk + mr)`, triangle entries by `1/mr` — and the block's `mr`
+/// diagonal groups from `diag(i, lane)` as `(re, im)`. The groups no kernel
+/// may read (on and above the triangle's diagonal) hold NaN.
+pub fn block_operands(
+    mr: usize,
+    kk: usize,
+    p: usize,
+    g: usize,
+    rng: &mut TestRng,
+    diag: impl Fn(usize, usize) -> (f64, f64),
+) -> (Vec<f64>, Vec<f64>) {
+    let mut strip = vec![f64::NAN; (kk + mr) * mr * g];
+    for k in 0..kk + mr {
+        let scale = if k < kk { kk + mr } else { mr };
+        for i in (k + 1).saturating_sub(kk)..mr {
+            for x in &mut strip[(k * mr + i) * g..(k * mr + i + 1) * g] {
+                *x = rng.next() / scale as f64;
+            }
+        }
+    }
+    let mut pa_diag = vec![0.0; mr * g];
+    for i in 0..mr {
+        for l in 0..p {
+            let (re, im) = diag(i, l);
+            pa_diag[i * g + l] = re;
+            if g > p {
+                pa_diag[i * g + p + l] = im;
+            }
+        }
+    }
+    (strip, pa_diag)
+}
+
+/// Reference for the fused TRSM block kernel (real).
 ///
 /// Layouts (all per lane `l < p`):
-/// * `pa_rect`: `kk` slivers of `mr` vector groups — `A(row0+i, col k)`;
-/// * `pa_tri`: the `mr × mr` diagonal block's lower triangle, rows
-///   concatenated (row `r` holds `r+1` groups), diagonal stored as its
-///   reciprocal;
+/// * `pa_rect`: `kk + mr` slivers of `mr` vector groups, group `(k, i)` at
+///   `(k·mr + i)·p` holding `A(row0+i, k)` — the rectangular strip for
+///   `k < kk`, the block's strictly lower triangle for `k = kk + j`, `j < i`
+///   (the other groups are never read);
+/// * `pa_diag`: the block's `mr` diagonal groups, stored as reciprocals;
 /// * `panel`: the B/X panel, row-major — row `r` at `r·row_stride`, column
 ///   `j` at `j·col_stride` (strides in scalars).
 ///
@@ -121,7 +158,7 @@ pub fn real_trsm_block(
     kk: usize,
     p: usize,
     pa_rect: &[f64],
-    pa_tri: &[f64],
+    pa_diag: &[f64],
     panel: &[f64],
     row0: usize,
     row_stride: usize,
@@ -144,13 +181,10 @@ pub fn real_trsm_block(
             }
             // triangular solve with reciprocal diagonal
             for i in 0..mr {
-                let row_base = i * (i + 1) / 2;
                 for jj in 0..i {
-                    let a = pa_tri[(row_base + jj) * p + l];
-                    b[i] -= a * b[jj];
+                    b[i] -= pa_rect[((kk + jj) * mr + i) * p + l] * b[jj];
                 }
-                let rdiag = pa_tri[(row_base + i) * p + l];
-                b[i] *= rdiag;
+                b[i] *= pa_diag[i * p + l];
             }
             for i in 0..mr {
                 out[(row0 + i) * row_stride + j * col_stride + l] = b[i];
@@ -169,7 +203,7 @@ pub fn cplx_trsm_block(
     kk: usize,
     p: usize,
     pa_rect: &[f64],
-    pa_tri: &[f64],
+    pa_diag: &[f64],
     panel: &[f64],
     row0: usize,
     row_stride: usize,
@@ -178,6 +212,7 @@ pub fn cplx_trsm_block(
     let g = 2 * p;
     let mut out = panel.to_vec();
     let cmul = |ar: f64, ai: f64, br: f64, bi: f64| (ar * br - ai * bi, ar * bi + ai * br);
+    let at = |buf: &[f64], group: usize, l: usize| (buf[group * g + l], buf[group * g + p + l]);
     for l in 0..p {
         for j in 0..nr {
             let mut b: Vec<(f64, f64)> = (0..mr)
@@ -188,26 +223,21 @@ pub fn cplx_trsm_block(
                 .collect();
             for i in 0..mr {
                 for k in 0..kk {
-                    let ab = (k * mr + i) * g;
-                    let (ar, ai) = (pa_rect[ab + l], pa_rect[ab + p + l]);
+                    let (ar, ai) = at(pa_rect, k * mr + i, l);
                     let xb = k * row_stride + j * col_stride;
-                    let (xr, xi) = (out[xb + l], out[xb + p + l]);
-                    let (pr, pi) = cmul(ar, ai, xr, xi);
+                    let (pr, pi) = cmul(ar, ai, out[xb + l], out[xb + p + l]);
                     b[i].0 -= pr;
                     b[i].1 -= pi;
                 }
             }
             for i in 0..mr {
-                let row_base = i * (i + 1) / 2;
                 for jj in 0..i {
-                    let ab = (row_base + jj) * g;
-                    let (ar, ai) = (pa_tri[ab + l], pa_tri[ab + p + l]);
+                    let (ar, ai) = at(pa_rect, (kk + jj) * mr + i, l);
                     let (pr, pi) = cmul(ar, ai, b[jj].0, b[jj].1);
                     b[i].0 -= pr;
                     b[i].1 -= pi;
                 }
-                let db = (row_base + i) * g;
-                let (dr, di) = (pa_tri[db + l], pa_tri[db + p + l]);
+                let (dr, di) = at(pa_diag, i, l);
                 b[i] = cmul(b[i].0, b[i].1, dr, di);
             }
             for i in 0..mr {
@@ -244,11 +274,11 @@ mod tests {
     #[test]
     fn trsm_block_solves_lower_system() {
         // 2×2 lower triangle, p=1, one column, kk=0.
-        // L = [[2, 0], [1, 4]] packed as rows with reciprocal diag:
-        // row0: [1/2]; row1: [1, 1/4]
-        let pa_tri = [0.5, 1.0, 0.25];
+        // L = [[2, 0], [1, 4]]: the strip's sliver 0 holds L(1,0) below the
+        // unread diagonal position, sliver 1 nothing; reciprocal diagonal.
+        let strip = [f64::NAN, 1.0, f64::NAN, f64::NAN];
         let panel = [6.0, 7.0]; // b
-        let out = real_trsm_block(2, 1, 0, 1, &[], &pa_tri, &panel, 0, 1, 1);
+        let out = real_trsm_block(2, 1, 0, 1, &strip, &[0.5, 0.25], &panel, 0, 1, 1);
         // x0 = 6/2 = 3; x1 = (7 - 1*3)/4 = 1
         assert_eq!(out, vec![3.0, 1.0]);
     }
@@ -257,10 +287,9 @@ mod tests {
     fn trsm_block_applies_rect_update() {
         // One solved row x=2 above; block is a single row with A(1,0)=3,
         // diag 5: x1 = (11 - 3*2)/5 = 1.
-        let pa_rect = [3.0];
-        let pa_tri = [0.2];
+        let strip = [3.0, f64::NAN];
         let panel = [2.0, 11.0];
-        let out = real_trsm_block(1, 1, 1, 1, &pa_rect, &pa_tri, &panel, 1, 1, 1);
+        let out = real_trsm_block(1, 1, 1, 1, &strip, &[0.2], &panel, 1, 1, 1);
         assert_eq!(out, vec![2.0, 1.0]);
     }
 
@@ -269,9 +298,9 @@ mod tests {
         // 1×1 system: (2+i)·x = (3-i) → x = (3-i)/(2+i) = (1-i).
         let d = (2.0, 1.0);
         let n = d.0 * d.0 + d.1 * d.1;
-        let pa_tri = [d.0 / n, -d.1 / n]; // reciprocal
+        let pa_diag = [d.0 / n, -d.1 / n]; // reciprocal
         let panel = [3.0, -1.0];
-        let out = cplx_trsm_block(1, 1, 0, 1, &[], &pa_tri, &panel, 0, 2, 2);
+        let out = cplx_trsm_block(1, 1, 0, 1, &[f64::NAN; 2], &pa_diag, &panel, 0, 2, 2);
         assert!((out[0] - 1.0).abs() < 1e-14);
         assert!((out[1] + 1.0).abs() < 1e-14);
     }

@@ -17,16 +17,24 @@
 //! B[row0 ..] = α · acc
 //! ```
 //!
-//! Packed layouts are shared with TRSM (`iatf_pack::trsm`), except the
-//! diagonal is stored *directly* (multiplied, not divided — no reciprocal
-//! needed here; unit diagonals pack as 1).
+//! The operand contract is TRSM's ([`crate::trsm::RealTrsmKernel`]): the
+//! strictly lower triangle continues the rectangular strip (column `kk + j`
+//! holds `L(row0+i, row0+j)`), and `pa_tri` holds only the `mb` diagonal
+//! groups — stored *directly* here (multiplied, not divided; unit diagonals
+//! pack as 1). The block's own rows are loaded into the accumulators once
+//! and multiplied there bottom-up — row `i` is replaced only after every row
+//! below it, so rows `j ≤ i` still hold their original values when it is
+//! formed — and the rectangular phase runs through TRSM's two-deep
+//! ping-pong loop with FMA in place of FMS (its register sets are named, not
+//! picked through a reference per step, so they stay in registers). Real and
+//! complex kernels share that one body.
 
-use crate::trsm::{load_cset, load_set};
+use crate::trsm::{load_block, rect_update, store_block, CplxGroup, Group, RealGroup};
 use iatf_simd::{prefetch_read, CVec, SimdReal};
 
 /// Function-pointer type of a monomorphized real TRMM block kernel. Strides
 /// are signed steps carried in `usize`, as in [`crate::trsm::RealTrsmKernel`].
-// SAFETY: unsafe fn type — callers must pass panel/packed pointers valid for the extents implied by (kk, MR, NR, strides); see the packing contract above.
+// SAFETY: unsafe fn type — callers must pass panel/strip/diagonal pointers valid for the extents implied by (kk, MR, NR, strides); see the operand contract above.
 pub type RealTrmmKernel<R> = unsafe fn(
     kk: usize,
     alpha: R,
@@ -41,7 +49,7 @@ pub type RealTrmmKernel<R> = unsafe fn(
 );
 
 /// Complex counterpart of [`RealTrmmKernel`] (`alpha` as `[re, im]`).
-// SAFETY: unsafe fn type — callers must pass panel/packed pointers valid for the extents implied by (kk, MR, NR, strides); see the packing contract above.
+// SAFETY: unsafe fn type — callers must pass panel/strip/diagonal pointers valid for the extents implied by (kk, MR, NR, strides); see the operand contract above.
 pub type CplxTrmmKernel<R> = unsafe fn(
     kk: usize,
     alpha: [R; 2],
@@ -55,18 +63,68 @@ pub type CplxTrmmKernel<R> = unsafe fn(
     col_stride: usize,
 );
 
+/// Multiply body shared by [`trmm_ukr`] and [`ctrmm_ukr`]: the block's
+/// triangle against its own rows, in registers, then the strip against the
+/// rows above, scaled by `alpha` on the way out.
+#[inline(always)]
+// SAFETY: unsafe fn — the operand contract of [`trmm_ukr`]; the triangle pointer is formed with wrapping arithmetic and read only at `j < i`.
+unsafe fn trmm_block<K: Group, const MR: usize, const NR: usize>(
+    kk: usize,
+    alpha: K::G,
+    pa_rect: *const K::S,
+    a_i: usize,
+    a_k: usize,
+    pa_tri: *const K::S,
+    panel: *mut K::S,
+    row0: usize,
+    row_stride: usize,
+    col_stride: usize,
+) {
+    let (a_i, a_k) = (a_i as isize, a_k as isize);
+    let (row0, rs, cs) = (row0 as isize, row_stride as isize, col_stride as isize);
+    prefetch_read(panel.offset(row0 * rs));
+    let mut acc = load_block::<K, MR, NR>(panel, row0, rs, cs);
+
+    // triangular part, bottom-up so rows j ≤ i still hold B_orig when row i
+    // becomes Σ_{j ≤ i} L(i,j) · B_orig(row0+j)
+    let tri = pa_rect.wrapping_offset(kk as isize * a_k);
+    for i in (0..MR).rev() {
+        let mut row = [K::zero(); NR];
+        for j in 0..=i {
+            let lij = if j < i {
+                K::load(tri.offset(i as isize * a_i + j as isize * a_k))
+            } else {
+                K::load(pa_tri.add(i * K::LEN))
+            };
+            for col in 0..NR {
+                row[col] = K::fma(row[col], lij, acc[j][col]);
+            }
+        }
+        acc[i] = row;
+    }
+
+    rect_update::<K, false, MR, NR>(&mut acc, kk, pa_rect, a_i, a_k, panel, rs, cs);
+
+    for row in &mut acc {
+        for cell in row {
+            *cell = K::mul(*cell, alpha);
+        }
+    }
+    store_block::<K, MR, NR>(&acc, panel, row0, rs, cs);
+}
+
 /// Fused real TRMM block kernel.
 ///
 /// # Safety
-/// Same operand contract as `iatf_kernels::trsm_ukr` (rect strip, packed
-/// triangle with *direct* diagonal, panel — strides read as signed, see
-/// [`crate::trsm::RealTrsmKernel`]).
+/// Same operand contract as [`crate::trsm::trsm_ukr`] (strip continued by
+/// the strictly lower triangle, `MR` *direct* diagonal groups, panel —
+/// strides read as signed, see [`crate::trsm::RealTrsmKernel`]).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub unsafe fn trmm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
     kk: usize,
     alpha: V::Scalar,
-    mut pa_rect: *const V::Scalar,
+    pa_rect: *const V::Scalar,
     a_i: usize,
     a_k: usize,
     pa_tri: *const V::Scalar,
@@ -75,72 +133,18 @@ pub unsafe fn trmm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
     row_stride: usize,
     col_stride: usize,
 ) {
-    let p = V::LANES;
-    let (a_i, a_k) = (a_i as isize, a_k as isize);
-    let (row0, rs, cs) = (row0 as isize, row_stride as isize, col_stride as isize);
-    prefetch_read(panel.offset(row0 * rs));
-    let mut acc = [[V::zero(); NR]; MR];
-
-    // triangular part: acc_i = Σ_{j ≤ i} L(i,j) · B_orig(row0+j)
-    let mut tri = pa_tri;
-    for i in 0..MR {
-        for j in 0..=i {
-            let lij = V::load(tri);
-            tri = tri.add(p);
-            for col in 0..NR {
-                let x = V::load(panel.offset((row0 + j as isize) * rs + col as isize * cs));
-                acc[i][col] = acc[i][col].fma(lij, x);
-            }
-        }
-    }
-
-    // rectangular part over the rows above the block (double-buffered)
-    if kk == 1 {
-        let a0 = load_set::<V, MR>(pa_rect, a_i);
-        let x0 = load_set::<V, NR>(panel, cs);
-        for i in 0..MR {
-            for j in 0..NR {
-                acc[i][j] = acc[i][j].fma(a0[i], x0[j]);
-            }
-        }
-    } else if kk >= 2 {
-        let mut a0 = load_set::<V, MR>(pa_rect, a_i);
-        let mut a1 = load_set::<V, MR>(pa_rect.offset(a_k), a_i);
-        pa_rect = pa_rect.wrapping_offset(2 * a_k);
-        let mut x0 = load_set::<V, NR>(panel, cs);
-        let mut x1 = load_set::<V, NR>(panel.offset(rs), cs);
-        let mut xrow = 2isize;
-        let mut k = 0usize;
-        while k < kk {
-            let (a, x) = if k % 2 == 0 { (&a0, &x0) } else { (&a1, &x1) };
-            for i in 0..MR {
-                for j in 0..NR {
-                    acc[i][j] = acc[i][j].fma(a[i], x[j]);
-                }
-            }
-            if k + 2 < kk {
-                if k % 2 == 0 {
-                    a0 = load_set::<V, MR>(pa_rect, a_i);
-                    x0 = load_set::<V, NR>(panel.offset(xrow * rs), cs);
-                } else {
-                    a1 = load_set::<V, MR>(pa_rect, a_i);
-                    x1 = load_set::<V, NR>(panel.offset(xrow * rs), cs);
-                }
-                pa_rect = pa_rect.wrapping_offset(a_k);
-                xrow += 1;
-            }
-            k += 1;
-        }
-    }
-
-    // scale and store
-    let va = V::splat(alpha);
-    for (i, row) in acc.iter().enumerate() {
-        for (j, cell) in row.iter().enumerate() {
-            cell.mul(va)
-                .store(panel.offset((row0 + i as isize) * rs + j as isize * cs));
-        }
-    }
+    trmm_block::<RealGroup<V>, MR, NR>(
+        kk,
+        V::splat(alpha),
+        pa_rect,
+        a_i,
+        a_k,
+        pa_tri,
+        panel,
+        row0,
+        row_stride,
+        col_stride,
+    );
 }
 
 /// Fused complex TRMM block kernel (split representation).
@@ -152,7 +156,7 @@ pub unsafe fn trmm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
 pub unsafe fn ctrmm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
     kk: usize,
     alpha: [V::Scalar; 2],
-    mut pa_rect: *const V::Scalar,
+    pa_rect: *const V::Scalar,
     a_i: usize,
     a_k: usize,
     pa_tri: *const V::Scalar,
@@ -161,51 +165,29 @@ pub unsafe fn ctrmm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
     row_stride: usize,
     col_stride: usize,
 ) {
-    let g = 2 * V::LANES;
-    let (a_i, a_k) = (a_i as isize, a_k as isize);
-    let (row0, rs, cs) = (row0 as isize, row_stride as isize, col_stride as isize);
-    prefetch_read(panel.offset(row0 * rs));
-    let mut acc = [[CVec::<V>::zero(); NR]; MR];
-
-    let mut tri = pa_tri;
-    for i in 0..MR {
-        for j in 0..=i {
-            let lij = CVec::<V>::load(tri);
-            tri = tri.add(g);
-            for col in 0..NR {
-                let x = CVec::<V>::load(panel.offset((row0 + j as isize) * rs + col as isize * cs));
-                acc[i][col] = acc[i][col].fma(lij, x);
-            }
-        }
-    }
-
-    for k in 0..kk as isize {
-        let a = load_cset::<V, MR>(pa_rect, a_i);
-        pa_rect = pa_rect.wrapping_offset(a_k);
-        let x = load_cset::<V, NR>(panel.offset(k * rs), cs);
-        for i in 0..MR {
-            for j in 0..NR {
-                acc[i][j] = acc[i][j].fma(a[i], x[j]);
-            }
-        }
-    }
-
-    for (i, row) in acc.iter().enumerate() {
-        for (j, cell) in row.iter().enumerate() {
-            cell.scale(alpha[0], alpha[1])
-                .store(panel.offset((row0 + i as isize) * rs + j as isize * cs));
-        }
-    }
+    trmm_block::<CplxGroup<V>, MR, NR>(
+        kk,
+        CVec::splat(alpha[0], alpha[1]),
+        pa_rect,
+        a_i,
+        a_k,
+        pa_tri,
+        panel,
+        row0,
+        row_stride,
+        col_stride,
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::TestRng;
+    use crate::oracle::{self, TestRng};
     use iatf_simd::{F32x4, F64x2, Real};
 
-    /// Scalar reference: acc_i = α·(Σ_{k<kk} rect(i,k)·panel[k] +
-    /// Σ_{j≤i} tri(i,j)·panel[row0+j]), stored into rows row0..row0+mr.
+    /// Scalar reference: acc_i = α·(Σ_{k<kk} strip(i,k)·panel[k] +
+    /// Σ_{j<i} strip(i,kk+j)·panel[row0+j] + diag(i)·panel[row0+i]), stored
+    /// into rows row0..row0+mr.
     #[allow(clippy::too_many_arguments)]
     fn reference(
         mr: usize,
@@ -213,8 +195,8 @@ mod tests {
         kk: usize,
         p: usize,
         alpha: f64,
-        rect: &[f64],
-        tri: &[f64],
+        strip: &[f64],
+        diag: &[f64],
         panel: &[f64],
         row0: usize,
         row_stride: usize,
@@ -223,13 +205,11 @@ mod tests {
         for l in 0..p {
             for j in 0..nr {
                 for i in 0..mr {
-                    let mut acc = 0.0;
-                    for k in 0..kk {
-                        acc += rect[(k * mr + i) * p + l] * panel[k * row_stride + j * p + l];
-                    }
-                    for jj in 0..=i {
-                        let a = tri[(i * (i + 1) / 2 + jj) * p + l];
-                        acc += a * panel[(row0 + jj) * row_stride + j * p + l];
+                    let x = |r: usize| panel[r * row_stride + j * p + l];
+                    let mut acc = diag[i * p + l] * x(row0 + i);
+                    for k in 0..kk + i {
+                        let row = if k < kk { k } else { row0 + k - kk };
+                        acc += strip[(k * mr + i) * p + l] * x(row);
                     }
                     out[(row0 + i) * row_stride + j * p + l] = alpha * acc;
                 }
@@ -242,35 +222,42 @@ mod tests {
         let p = V::LANES;
         let rows = kk + MR;
         let mut rng = TestRng::new((MR * 19 + NR * 3 + kk) as u64);
-        let rect: Vec<V::Scalar> = (0..kk * MR * p)
-            .map(|_| V::Scalar::from_f64(rng.next()))
-            .collect();
-        let tri: Vec<V::Scalar> = (0..MR * (MR + 1) / 2 * p)
-            .map(|_| V::Scalar::from_f64(rng.next()))
-            .collect();
-        let panel0: Vec<V::Scalar> = (0..rows * NR * p)
-            .map(|_| V::Scalar::from_f64(rng.next()))
-            .collect();
+        let (strip, diag) = oracle::block_operands(MR, kk, p, p, &mut rng, |r, l| {
+            (0.75 + 0.125 * ((r + 2 * l) % 5) as f64, 0.0)
+        });
+        let to =
+            |v: &[f64]| -> Vec<V::Scalar> { v.iter().map(|&x| V::Scalar::from_f64(x)).collect() };
+        let back = |v: &[V::Scalar]| -> Vec<f64> { v.iter().map(|x| x.to_f64()).collect() };
+        let (strip, diag) = (to(&strip), to(&diag));
+        let panel0 = to(&(0..rows * NR * p).map(|_| rng.next()).collect::<Vec<_>>());
         let mut panel = panel0.clone();
-        // SAFETY: the buffers above are sized exactly to the kernel's packed extents for these (kk, MR, NR, P), and the strides passed match that sizing.
+        // SAFETY: the strip holds `kk + MR` slivers of MR groups, the diagonal MR groups and the panel `rows × NR` groups — exactly the extents these (kk, MR, NR, P) and strides address.
         unsafe {
             trmm_ukr::<V, MR, NR>(
                 kk,
                 V::Scalar::from_f64(alpha),
-                rect.as_ptr(),
+                strip.as_ptr(),
                 p,
                 MR * p,
-                tri.as_ptr(),
+                diag.as_ptr(),
                 panel.as_mut_ptr(),
                 kk,
                 NR * p,
                 p,
             );
         }
-        let rect_f: Vec<f64> = rect.iter().map(|x| x.to_f64()).collect();
-        let tri_f: Vec<f64> = tri.iter().map(|x| x.to_f64()).collect();
-        let panel_f: Vec<f64> = panel0.iter().map(|x| x.to_f64()).collect();
-        let want = reference(MR, NR, kk, p, alpha, &rect_f, &tri_f, &panel_f, kk, NR * p);
+        let want = reference(
+            MR,
+            NR,
+            kk,
+            p,
+            alpha,
+            &back(&strip),
+            &back(&diag),
+            &back(&panel0),
+            kk,
+            NR * p,
+        );
         let tol = if V::Scalar::BYTES == 4 { 1e-4 } else { 1e-12 };
         for (idx, (got, w)) in panel.iter().zip(want.iter()).enumerate() {
             assert!(
@@ -293,12 +280,12 @@ mod tests {
 
     #[test]
     fn complex_block_matches_manual() {
-        // 1×1 block, no rect: out = α·l·x per lane
+        // 1×1 block, no rect and no off-diagonal: out = α·d·x per lane
         let p = F64x2::LANES;
-        let tri = [2.0, 3.0, 0.5, -0.5]; // re lanes | im lanes
+        let diag = [2.0, 3.0, 0.5, -0.5]; // re lanes | im lanes
         let panel0 = [1.0, 1.0, 1.0, 0.0]; // x = (1+i, 1)
         let mut panel = panel0;
-        // SAFETY: the buffers above are sized exactly to the kernel's packed extents for these (kk, MR, NR, P), and the strides passed match that sizing.
+        // SAFETY: a 1×1 block at kk = 0 reads no strip group, one diagonal group and one panel group — the buffers above.
         unsafe {
             ctrmm_ukr::<F64x2, 1, 1>(
                 0,
@@ -306,7 +293,7 @@ mod tests {
                 core::ptr::null(),
                 0,
                 0,
-                tri.as_ptr(),
+                diag.as_ptr(),
                 panel.as_mut_ptr(),
                 0,
                 2 * p,
@@ -320,9 +307,9 @@ mod tests {
         assert!((panel[3] + 0.5).abs() < 1e-14);
     }
 
-    /// A reversed mode streams its panel and rect strip from the stored
-    /// last row downwards: negative strides (two's complement in `usize`)
-    /// must produce bit-for-bit what the ascending walk over the mirrored
+    /// A reversed mode streams its panel and strip from the stored last row
+    /// downwards: negative strides (two's complement in `usize`) must
+    /// produce bit-for-bit what the ascending walk over the mirrored
     /// buffers produces, in debug builds too.
     #[test]
     fn descending_walk_matches_ascending() {
@@ -331,11 +318,11 @@ mod tests {
         let (p, kk) = (F64x2::LANES, 5usize);
         let rows = kk + MR;
         let mut rng = TestRng::new(77);
-        let rect: Vec<f64> = (0..kk * MR * p).map(|_| rng.next()).collect();
-        let tri: Vec<f64> = (0..MR * (MR + 1) / 2 * p).map(|_| rng.next()).collect();
+        let strip: Vec<f64> = (0..rows * MR * p).map(|_| rng.next()).collect();
+        let diag: Vec<f64> = (0..MR * p).map(|_| rng.next()).collect();
         let fwd0: Vec<f64> = (0..rows * NR * p).map(|_| rng.next()).collect();
         let rs = NR * p;
-        // mirrored copies: panel rows and rect slivers in reverse order
+        // mirrored copies: panel rows and strip slivers in reverse order
         let mirror = |v: &[f64], n: usize, len: usize| -> Vec<f64> {
             (0..n)
                 .rev()
@@ -344,16 +331,16 @@ mod tests {
         };
         let mut fwd = fwd0.clone();
         let mut rev = mirror(&fwd0, rows, rs);
-        let rect_rev = mirror(&rect, kk, MR * p);
-        // SAFETY: both calls address exactly the `rows × NR` panel and the `kk` rect slivers built above — ascending from element 0, or descending from the last row / last sliver with negated strides.
+        let strip_rev = mirror(&strip, rows, MR * p);
+        // SAFETY: both calls address exactly the `rows × NR` panel and the `kk + MR` strip slivers built above — ascending from element 0, or descending from the last row / last sliver with negated strides.
         unsafe {
             trmm_ukr::<F64x2, MR, NR>(
                 kk,
                 1.5,
-                rect.as_ptr(),
+                strip.as_ptr(),
                 p,
                 MR * p,
-                tri.as_ptr(),
+                diag.as_ptr(),
                 fwd.as_mut_ptr(),
                 kk,
                 rs,
@@ -362,10 +349,10 @@ mod tests {
             trmm_ukr::<F64x2, MR, NR>(
                 kk,
                 1.5,
-                rect_rev.as_ptr().add((kk - 1) * MR * p),
+                strip_rev.as_ptr().add((rows - 1) * MR * p),
                 p,
                 (MR * p).wrapping_neg(),
-                tri.as_ptr(),
+                diag.as_ptr(),
                 rev.as_mut_ptr().add((rows - 1) * rs),
                 kk,
                 rs.wrapping_neg(),

@@ -1,10 +1,9 @@
 //! TRSM microkernels (paper §4.2.2, Algorithm 4 and the FMLS rectangular
 //! kernels of Eq. 4).
 //!
-//! The canonical operation (after the packing kernels have normalized every
-//! mode — side/uplo/trans/diag — into it) is the *left, lower,
-//! non-transposed* block solve on an `M × nr` column panel of B held in a
-//! row-major packed panel:
+//! The canonical operation (after the index maps of `iatf_pack::trsm` have
+//! normalized every mode — side/uplo/trans/diag — into it) is the *left,
+//! lower, non-transposed* block solve on an `M × nr` column panel of B:
 //!
 //! ```text
 //! X[row0 .. row0+m_r] = Tri⁻¹ · ( B[row0 ..] − Rect · X[0 .. kk] )
@@ -15,23 +14,33 @@
 //!   general GEMM kernel would spend `M·N` extra multiplies on `alpha`; the
 //!   dedicated FMLS kernel saves them (paper Eq. 4) — the saving is
 //!   measurable at small sizes and reproduced by the `ablation_fmls` bench.
-//! * The **triangular** phase is Algorithm 4: the diagonal block's triangle
-//!   is register-resident; diagonal elements were packed as *reciprocals*
-//!   (1/a_ii), so the solve multiplies instead of dividing (§4.4). Unit
-//!   diagonals are packed as reciprocal 1, making one kernel serve both
-//!   `Diag` modes.
+//!   It is software-pipelined two deep like the GEMM kernels, and the TRMM
+//!   kernels accumulate through the same loop with FMA.
+//! * The **triangular** phase is Algorithm 4 on the register-resident
+//!   block. Its strictly lower triangle is the *continuation of the strip*:
+//!   column `kk + j` of the strip the rectangular phase walks holds
+//!   `Â(row0+i, row0+j)`, so the triangle is read wherever the strip lives —
+//!   in the stored pack when streamed in place, in the packed buffer under
+//!   `PackPolicy::Always` — and never copied on its own. Only the block's
+//!   `m_r` diagonal groups are packed, as *reciprocals* (1/a_ii), so the
+//!   solve multiplies instead of dividing (§4.4). Unit diagonals and padded
+//!   lanes are packed as 1, making one kernel serve both `Diag` modes.
 //!
-//! The rectangular phase is software-pipelined two deep exactly like the
-//! GEMM kernels.
+//! Real and complex kernels share every body below, written once over
+//! `Group`: a real element group is one vector, a complex one a
+//! split-complex pair ([`CVec`]).
 
+use core::marker::PhantomData;
 use iatf_simd::{prefetch_read, CVec, SimdReal};
 
 /// Function-pointer type of a monomorphized real TRSM block kernel.
 ///
-/// See the module docs for the operation. `pa_rect` addresses like a GEMM A
-/// sliver (`a_i` between rows, `a_k` between k-steps); `pa_tri` is the
-/// packed triangle (row `r` holds `r+1` vector groups, reciprocal diagonal
-/// last); the panel is addressed as `panel + row·row_stride + col·col_stride`.
+/// See the module docs for the operation. `pa_rect + i·a_i + k·a_k`
+/// addresses `Â(row0+i, k)` for every `k < kk + i`: the `kk` columns of the
+/// rectangular strip, then the block's strictly lower triangle
+/// (`Â(row0+i, row0+j)` at column `kk + j`). `pa_tri` holds the block's `MR`
+/// reciprocal diagonal groups back to back. The panel is addressed as
+/// `panel + row·row_stride + col·col_stride`.
 ///
 /// The four strides are **signed** steps carried in `usize` parameters (a
 /// negative step is passed as its two's-complement value): the planners
@@ -39,7 +48,7 @@ use iatf_simd::{prefetch_read, CVec, SimdReal};
 /// stored *last* row and walking down. Kernel bodies reinterpret them as
 /// `isize` on entry, so a descending walk is defined behaviour in debug and
 /// release alike.
-// SAFETY: unsafe fn type — callers must pass packed-triangle/rect/panel pointers valid for the extents implied by (kk, MR, NR, strides) per the addressing contract above.
+// SAFETY: unsafe fn type — callers must pass strip/diagonal/panel pointers valid for the extents implied by (kk, MR, NR, strides) per the addressing contract above.
 pub type RealTrsmKernel<R> = unsafe fn(
     kk: usize,
     pa_rect: *const R,
@@ -61,76 +70,177 @@ pub type RealTrsmRectKernel<R> = RealTrsmKernel<R>;
 /// Complex rectangular-phase-only kernel.
 pub type CplxTrsmRectKernel<R> = RealTrsmKernel<R>;
 
+/// How the triangular kernels hold one element group in registers: a real
+/// vector ([`RealGroup`]) or a split-complex pair ([`CplxGroup`]).
+pub(crate) trait Group {
+    /// Scalar of the operands in memory.
+    type S: Copy;
+    /// One element group in registers.
+    type G: Copy;
+    /// Scalars per element group.
+    const LEN: usize;
+    fn zero() -> Self::G;
+    /// # Safety
+    /// `p` must be valid for reading `LEN` scalars.
+    unsafe fn load(p: *const Self::S) -> Self::G;
+    /// # Safety
+    /// `p` must be valid for writing `LEN` scalars.
+    unsafe fn store(g: Self::G, p: *mut Self::S);
+    /// `acc + a·b`.
+    fn fma(acc: Self::G, a: Self::G, b: Self::G) -> Self::G;
+    /// `acc − a·b`.
+    fn fms(acc: Self::G, a: Self::G, b: Self::G) -> Self::G;
+    /// `a·b`.
+    fn mul(a: Self::G, b: Self::G) -> Self::G;
+}
+
+/// Real element groups: one `V` per group.
+pub(crate) struct RealGroup<V>(PhantomData<V>);
+/// Complex element groups: one split [`CVec`] per group.
+pub(crate) struct CplxGroup<V>(PhantomData<V>);
+
+impl<V: SimdReal> Group for RealGroup<V> {
+    type S = V::Scalar;
+    type G = V;
+    const LEN: usize = V::LANES;
+    #[inline(always)]
+    fn zero() -> V {
+        V::zero()
+    }
+    #[inline(always)]
+    // SAFETY: unsafe fn — forwards the caller's `LEN`-scalar guarantee to the vector load.
+    unsafe fn load(p: *const V::Scalar) -> V {
+        V::load(p)
+    }
+    #[inline(always)]
+    // SAFETY: unsafe fn — forwards the caller's `LEN`-scalar guarantee to the vector store.
+    unsafe fn store(g: V, p: *mut V::Scalar) {
+        g.store(p);
+    }
+    #[inline(always)]
+    fn fma(acc: V, a: V, b: V) -> V {
+        acc.fma(a, b)
+    }
+    #[inline(always)]
+    fn fms(acc: V, a: V, b: V) -> V {
+        acc.fms(a, b)
+    }
+    #[inline(always)]
+    fn mul(a: V, b: V) -> V {
+        a.mul(b)
+    }
+}
+
+impl<V: SimdReal> Group for CplxGroup<V> {
+    type S = V::Scalar;
+    type G = CVec<V>;
+    const LEN: usize = 2 * V::LANES;
+    #[inline(always)]
+    fn zero() -> CVec<V> {
+        CVec::zero()
+    }
+    #[inline(always)]
+    // SAFETY: unsafe fn — forwards the caller's `2·P`-scalar guarantee to the split load.
+    unsafe fn load(p: *const V::Scalar) -> CVec<V> {
+        CVec::load(p)
+    }
+    #[inline(always)]
+    // SAFETY: unsafe fn — forwards the caller's `2·P`-scalar guarantee to the split store.
+    unsafe fn store(g: CVec<V>, p: *mut V::Scalar) {
+        g.store(p);
+    }
+    #[inline(always)]
+    fn fma(acc: CVec<V>, a: CVec<V>, b: CVec<V>) -> CVec<V> {
+        acc.fma(a, b)
+    }
+    #[inline(always)]
+    fn fms(acc: CVec<V>, a: CVec<V>, b: CVec<V>) -> CVec<V> {
+        acc.fms(a, b)
+    }
+    /// Four FMA-class instructions, as the complex kernels' SAVE scaling.
+    #[inline(always)]
+    fn mul(a: CVec<V>, b: CVec<V>) -> CVec<V> {
+        CVec::zero().fma(a, b)
+    }
+}
+
 #[inline(always)]
-// SAFETY: unsafe fn — `p + i·stride` (signed) must be valid for `LANES` scalars for every `i < N`; each lane load stays inside that extent.
-pub(crate) unsafe fn load_set<V: SimdReal, const N: usize>(
-    p: *const V::Scalar,
-    stride: isize,
-) -> [V; N] {
-    let mut out = [V::zero(); N];
+// SAFETY: unsafe fn — `p + i·stride` (signed) must be valid for one group for every `i < N`; each load stays inside that extent.
+unsafe fn load_set<K: Group, const N: usize>(p: *const K::S, stride: isize) -> [K::G; N] {
+    let mut out = [K::zero(); N];
     for (i, o) in out.iter_mut().enumerate() {
-        *o = V::load(p.offset(i as isize * stride));
+        *o = K::load(p.offset(i as isize * stride));
     }
     out
 }
 
 #[inline(always)]
-fn fms_tile<V: SimdReal, const MR: usize, const NR: usize>(
-    acc: &mut [[V; NR]; MR],
-    a: &[V; MR],
-    x: &[V; NR],
-) {
-    for i in 0..MR {
-        for j in 0..NR {
-            acc[i][j] = acc[i][j].fms(a[i], x[j]);
-        }
-    }
-}
-
-#[inline(always)]
-// SAFETY: unsafe fn — `panel` must cover rows `row0..row0+MR` and `NR` columns at the given strides; every lane access stays inside that block.
-unsafe fn load_block<V: SimdReal, const MR: usize, const NR: usize>(
-    panel: *const V::Scalar,
+// SAFETY: unsafe fn — `panel` must cover rows `row0..row0+MR` and `NR` columns of groups at the given signed strides; every access stays inside that block.
+pub(crate) unsafe fn load_block<K: Group, const MR: usize, const NR: usize>(
+    panel: *const K::S,
     row0: isize,
     row_stride: isize,
     col_stride: isize,
-) -> [[V; NR]; MR] {
-    let mut acc = [[V::zero(); NR]; MR];
+) -> [[K::G; NR]; MR] {
+    let mut acc = [[K::zero(); NR]; MR];
     for (i, row) in acc.iter_mut().enumerate() {
         for (j, cell) in row.iter_mut().enumerate() {
             *cell =
-                V::load(panel.offset((row0 + i as isize) * row_stride + j as isize * col_stride));
+                K::load(panel.offset((row0 + i as isize) * row_stride + j as isize * col_stride));
         }
     }
     acc
 }
 
 #[inline(always)]
-// SAFETY: unsafe fn — `panel` must cover rows `row0..row0+MR` and `NR` columns at the given strides; every lane access stays inside that block.
-unsafe fn store_block<V: SimdReal, const MR: usize, const NR: usize>(
-    acc: &[[V; NR]; MR],
-    panel: *mut V::Scalar,
+// SAFETY: unsafe fn — as `load_block`, for writes.
+pub(crate) unsafe fn store_block<K: Group, const MR: usize, const NR: usize>(
+    acc: &[[K::G; NR]; MR],
+    panel: *mut K::S,
     row0: isize,
     row_stride: isize,
     col_stride: isize,
 ) {
     for (i, row) in acc.iter().enumerate() {
         for (j, cell) in row.iter().enumerate() {
-            cell.store(panel.offset((row0 + i as isize) * row_stride + j as isize * col_stride));
+            K::store(
+                *cell,
+                panel.offset((row0 + i as isize) * row_stride + j as isize * col_stride),
+            );
         }
     }
 }
 
-/// Rectangular elimination `acc -= Rect · X[0..kk]`, ping-pong pipelined.
+/// `acc ∓= a ⊗ x`: FMS when `SUB` (the solve's elimination), FMA otherwise
+/// (the multiply's accumulation).
+#[inline(always)]
+fn update_tile<K: Group, const SUB: bool, const MR: usize, const NR: usize>(
+    acc: &mut [[K::G; NR]; MR],
+    a: &[K::G; MR],
+    x: &[K::G; NR],
+) {
+    for i in 0..MR {
+        for j in 0..NR {
+            acc[i][j] = if SUB {
+                K::fms(acc[i][j], a[i], x[j])
+            } else {
+                K::fma(acc[i][j], a[i], x[j])
+            };
+        }
+    }
+}
+
+/// Rectangular phase `acc ∓= Rect · X[0..kk]` in k order, ping-pong
+/// pipelined two deep (`SUB` as in `update_tile`).
 #[inline(always)]
 // SAFETY: unsafe fn — `pa`/`panel` must cover `kk` k-steps at the given signed strides; the ping-pong loads below never exceed step `kk-1` (the cursor itself advances with wrapping arithmetic, so stepping it past the last sliver is not an access).
-unsafe fn rect_eliminate<V: SimdReal, const MR: usize, const NR: usize>(
-    acc: &mut [[V; NR]; MR],
+pub(crate) unsafe fn rect_update<K: Group, const SUB: bool, const MR: usize, const NR: usize>(
+    acc: &mut [[K::G; NR]; MR],
     kk: usize,
-    mut pa: *const V::Scalar,
+    mut pa: *const K::S,
     a_i: isize,
     a_k: isize,
-    panel: *const V::Scalar,
+    panel: *const K::S,
     row_stride: isize,
     col_stride: isize,
 ) {
@@ -138,75 +248,122 @@ unsafe fn rect_eliminate<V: SimdReal, const MR: usize, const NR: usize>(
         return;
     }
     if kk == 1 {
-        let a0 = load_set::<V, MR>(pa, a_i);
-        let x0 = load_set::<V, NR>(panel, col_stride);
-        fms_tile(acc, &a0, &x0);
+        let a0 = load_set::<K, MR>(pa, a_i);
+        let x0 = load_set::<K, NR>(panel, col_stride);
+        update_tile::<K, SUB, MR, NR>(acc, &a0, &x0);
         return;
     }
-    // Two-deep pipeline over the solved rows.
-    let mut a0 = load_set::<V, MR>(pa, a_i);
-    let mut a1 = load_set::<V, MR>(pa.offset(a_k), a_i);
+    // Two-deep pipeline over the rows above the block.
+    let mut a0 = load_set::<K, MR>(pa, a_i);
+    let mut a1 = load_set::<K, MR>(pa.offset(a_k), a_i);
     pa = pa.wrapping_offset(2 * a_k);
-    let mut x0 = load_set::<V, NR>(panel, col_stride);
-    let mut x1 = load_set::<V, NR>(panel.offset(row_stride), col_stride);
+    let mut x0 = load_set::<K, NR>(panel, col_stride);
+    let mut x1 = load_set::<K, NR>(panel.offset(row_stride), col_stride);
     let mut xrow = 2isize;
-    fms_tile(acc, &a0, &x0);
+    update_tile::<K, SUB, MR, NR>(acc, &a0, &x0);
     let mut remaining = kk - 1;
     while remaining >= 3 {
-        a0 = load_set::<V, MR>(pa, a_i);
-        x0 = load_set::<V, NR>(panel.offset(xrow * row_stride), col_stride);
+        a0 = load_set::<K, MR>(pa, a_i);
+        x0 = load_set::<K, NR>(panel.offset(xrow * row_stride), col_stride);
         pa = pa.wrapping_offset(a_k);
         xrow += 1;
-        fms_tile(acc, &a1, &x1);
-        a1 = load_set::<V, MR>(pa, a_i);
-        x1 = load_set::<V, NR>(panel.offset(xrow * row_stride), col_stride);
+        update_tile::<K, SUB, MR, NR>(acc, &a1, &x1);
+        a1 = load_set::<K, MR>(pa, a_i);
+        x1 = load_set::<K, NR>(panel.offset(xrow * row_stride), col_stride);
         pa = pa.wrapping_offset(a_k);
         xrow += 1;
-        fms_tile(acc, &a0, &x0);
+        update_tile::<K, SUB, MR, NR>(acc, &a0, &x0);
         remaining -= 2;
     }
     if remaining == 2 {
-        a0 = load_set::<V, MR>(pa, a_i);
-        x0 = load_set::<V, NR>(panel.offset(xrow * row_stride), col_stride);
-        fms_tile(acc, &a1, &x1);
-        fms_tile(acc, &a0, &x0);
+        a0 = load_set::<K, MR>(pa, a_i);
+        x0 = load_set::<K, NR>(panel.offset(xrow * row_stride), col_stride);
+        update_tile::<K, SUB, MR, NR>(acc, &a1, &x1);
+        update_tile::<K, SUB, MR, NR>(acc, &a0, &x0);
     } else {
-        fms_tile(acc, &a1, &x1);
+        update_tile::<K, SUB, MR, NR>(acc, &a1, &x1);
     }
 }
 
-/// Triangular register solve (Algorithm 4 body) on the loaded block.
+/// Triangular register solve (Algorithm 4 body) on the loaded block:
+/// `L(i, j)`, `j < i`, at `tri + i·a_i + j·a_k` (the strip's continuation),
+/// the reciprocal diagonal at `pa_diag`.
 #[inline(always)]
-// SAFETY: unsafe fn — `pa_tri` must hold the packed triangle for MR rows (`MR·(MR+1)/2` vector groups); the walk below never leaves it.
-unsafe fn tri_solve<V: SimdReal, const MR: usize, const NR: usize>(
-    acc: &mut [[V; NR]; MR],
-    pa_tri: *const V::Scalar,
+// SAFETY: unsafe fn — `tri + i·a_i + j·a_k` (signed) must be valid for one group for every `j < i < MR`, and `pa_diag` for `MR` consecutive groups; only those are read.
+unsafe fn tri_solve<K: Group, const MR: usize, const NR: usize>(
+    acc: &mut [[K::G; NR]; MR],
+    tri: *const K::S,
+    a_i: isize,
+    a_k: isize,
+    pa_diag: *const K::S,
 ) {
-    let p = V::LANES;
-    let mut tri = pa_tri;
     for i in 0..MR {
         for j in 0..i {
-            let lij = V::load(tri);
-            tri = tri.add(p);
+            let lij = K::load(tri.offset(i as isize * a_i + j as isize * a_k));
             for col in 0..NR {
-                acc[i][col] = acc[i][col].fms(lij, acc[j][col]);
+                acc[i][col] = K::fms(acc[i][col], lij, acc[j][col]);
             }
         }
-        let rdiag = V::load(tri);
-        tri = tri.add(p);
+        let rdiag = K::load(pa_diag.add(i * K::LEN));
         for col in 0..NR {
-            acc[i][col] = acc[i][col].mul(rdiag);
+            acc[i][col] = K::mul(acc[i][col], rdiag);
         }
     }
+}
+
+/// Fused block solve shared by [`trsm_ukr`] and [`ctrsm_ukr`].
+#[inline(always)]
+// SAFETY: unsafe fn — the operand contract of [`RealTrsmKernel`]; the triangle pointer is formed with wrapping arithmetic and read only at `j < i`.
+unsafe fn trsm_block<K: Group, const MR: usize, const NR: usize>(
+    kk: usize,
+    pa_rect: *const K::S,
+    a_i: usize,
+    a_k: usize,
+    pa_tri: *const K::S,
+    panel: *mut K::S,
+    row0: usize,
+    row_stride: usize,
+    col_stride: usize,
+) {
+    let (a_i, a_k) = (a_i as isize, a_k as isize);
+    let (row0, rs, cs) = (row0 as isize, row_stride as isize, col_stride as isize);
+    prefetch_read(panel.offset(row0 * rs));
+    let mut acc = load_block::<K, MR, NR>(panel, row0, rs, cs);
+    rect_update::<K, true, MR, NR>(&mut acc, kk, pa_rect, a_i, a_k, panel, rs, cs);
+    let tri = pa_rect.wrapping_offset(kk as isize * a_k);
+    tri_solve::<K, MR, NR>(&mut acc, tri, a_i, a_k, pa_tri);
+    store_block::<K, MR, NR>(&acc, panel, row0, rs, cs);
+}
+
+/// Rectangular-only block update shared by [`trsm_rect_ukr`] and
+/// [`ctrsm_rect_ukr`].
+#[inline(always)]
+// SAFETY: unsafe fn — as `trsm_block`, minus the triangle and diagonal.
+unsafe fn rect_block<K: Group, const MR: usize, const NR: usize>(
+    kk: usize,
+    pa_rect: *const K::S,
+    a_i: usize,
+    a_k: usize,
+    panel: *mut K::S,
+    row0: usize,
+    row_stride: usize,
+    col_stride: usize,
+) {
+    let (a_i, a_k) = (a_i as isize, a_k as isize);
+    let (row0, rs, cs) = (row0 as isize, row_stride as isize, col_stride as isize);
+    let mut acc = load_block::<K, MR, NR>(panel, row0, rs, cs);
+    rect_update::<K, true, MR, NR>(&mut acc, kk, pa_rect, a_i, a_k, panel, rs, cs);
+    store_block::<K, MR, NR>(&acc, panel, row0, rs, cs);
 }
 
 /// Fused TRSM block kernel: rectangular elimination + triangular solve,
 /// in place on the panel.
 ///
 /// # Safety
-/// `pa_rect` must cover `kk` strided slivers of `MR` groups, `pa_tri` the
-/// packed `MR`-row triangle, and the panel rows `0..row0+MR` × `NR` columns
-/// — all at the given strides, read as signed (see [`RealTrsmKernel`]).
+/// `pa_rect` must cover the strip columns `k < kk + i` of every row `i <
+/// MR` (strip, then strictly lower triangle), `pa_tri` the `MR` diagonal
+/// groups, and the panel rows `0..row0+MR` × `NR` columns — all at the
+/// given strides, read as signed (see [`RealTrsmKernel`]).
 #[inline(always)]
 pub unsafe fn trsm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
     kk: usize,
@@ -219,19 +376,16 @@ pub unsafe fn trsm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
     row_stride: usize,
     col_stride: usize,
 ) {
-    let (a_i, a_k) = (a_i as isize, a_k as isize);
-    let (row0, rs, cs) = (row0 as isize, row_stride as isize, col_stride as isize);
-    prefetch_read(panel.offset(row0 * rs));
-    let mut acc = load_block::<V, MR, NR>(panel, row0, rs, cs);
-    rect_eliminate::<V, MR, NR>(&mut acc, kk, pa_rect, a_i, a_k, panel, rs, cs);
-    tri_solve::<V, MR, NR>(&mut acc, pa_tri);
-    store_block::<V, MR, NR>(&acc, panel, row0, rs, cs);
+    trsm_block::<RealGroup<V>, MR, NR>(
+        kk, pa_rect, a_i, a_k, pa_tri, panel, row0, row_stride, col_stride,
+    );
 }
 
 /// Rectangular-only TRSM kernel: `B[row0..row0+MR] -= Rect · X[0..kk]`.
 ///
 /// # Safety
-/// As [`trsm_ukr`], minus the triangle.
+/// As [`trsm_ukr`], for the first `kk` strip columns only; `_pa_tri` is
+/// never read.
 #[inline(always)]
 pub unsafe fn trsm_rect_ukr<V: SimdReal, const MR: usize, const NR: usize>(
     kk: usize,
@@ -244,76 +398,7 @@ pub unsafe fn trsm_rect_ukr<V: SimdReal, const MR: usize, const NR: usize>(
     row_stride: usize,
     col_stride: usize,
 ) {
-    let (a_i, a_k) = (a_i as isize, a_k as isize);
-    let (row0, rs, cs) = (row0 as isize, row_stride as isize, col_stride as isize);
-    let mut acc = load_block::<V, MR, NR>(panel, row0, rs, cs);
-    rect_eliminate::<V, MR, NR>(&mut acc, kk, pa_rect, a_i, a_k, panel, rs, cs);
-    store_block::<V, MR, NR>(&acc, panel, row0, rs, cs);
-}
-
-// ---------------------------------------------------------------------------
-// Complex kernels (split representation).
-// ---------------------------------------------------------------------------
-
-#[inline(always)]
-// SAFETY: unsafe fn — `p + i·stride` (signed) must be valid for `2·LANES` scalars for every `i < N`; each lane load stays inside that extent.
-pub(crate) unsafe fn load_cset<V: SimdReal, const N: usize>(
-    p: *const V::Scalar,
-    stride: isize,
-) -> [CVec<V>; N] {
-    let mut out = [CVec::<V>::zero(); N];
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = CVec::load(p.offset(i as isize * stride));
-    }
-    out
-}
-
-#[inline(always)]
-fn cfms_tile<V: SimdReal, const MR: usize, const NR: usize>(
-    acc: &mut [[CVec<V>; NR]; MR],
-    a: &[CVec<V>; MR],
-    x: &[CVec<V>; NR],
-) {
-    for i in 0..MR {
-        for j in 0..NR {
-            acc[i][j] = acc[i][j].fms(a[i], x[j]);
-        }
-    }
-}
-
-#[inline(always)]
-// SAFETY: unsafe fn — `panel` must cover rows `row0..row0+MR` and `NR` columns of `2·LANES`-scalar groups at the given signed strides; every access stays inside that block.
-unsafe fn load_cblock<V: SimdReal, const MR: usize, const NR: usize>(
-    panel: *const V::Scalar,
-    row0: isize,
-    row_stride: isize,
-    col_stride: isize,
-) -> [[CVec<V>; NR]; MR] {
-    let mut acc = [[CVec::<V>::zero(); NR]; MR];
-    for (i, row) in acc.iter_mut().enumerate() {
-        for (j, cell) in row.iter_mut().enumerate() {
-            *cell = CVec::load(
-                panel.offset((row0 + i as isize) * row_stride + j as isize * col_stride),
-            );
-        }
-    }
-    acc
-}
-
-#[inline(always)]
-// SAFETY: unsafe fn — as `load_cblock`, for writes.
-unsafe fn store_cblock<V: SimdReal, const MR: usize, const NR: usize>(
-    acc: &[[CVec<V>; NR]; MR],
-    panel: *mut V::Scalar,
-    row0: isize,
-    row_stride: isize,
-    col_stride: isize,
-) {
-    for (i, row) in acc.iter().enumerate() {
-        for (j, cell) in row.iter().enumerate() {
-            cell.store(panel.offset((row0 + i as isize) * row_stride + j as isize * col_stride));
-        }
-    }
+    rect_block::<RealGroup<V>, MR, NR>(kk, pa_rect, a_i, a_k, panel, row0, row_stride, col_stride);
 }
 
 /// Fused complex TRSM block kernel.
@@ -323,7 +408,7 @@ unsafe fn store_cblock<V: SimdReal, const MR: usize, const NR: usize>(
 #[inline(always)]
 pub unsafe fn ctrsm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
     kk: usize,
-    mut pa_rect: *const V::Scalar,
+    pa_rect: *const V::Scalar,
     a_i: usize,
     a_k: usize,
     pa_tri: *const V::Scalar,
@@ -332,73 +417,15 @@ pub unsafe fn ctrsm_ukr<V: SimdReal, const MR: usize, const NR: usize>(
     row_stride: usize,
     col_stride: usize,
 ) {
-    let (a_i, a_k) = (a_i as isize, a_k as isize);
-    let (row0, rs, cs) = (row0 as isize, row_stride as isize, col_stride as isize);
-    prefetch_read(panel.offset(row0 * rs));
-    let g = 2 * V::LANES;
-    let mut acc = load_cblock::<V, MR, NR>(panel, row0, rs, cs);
-
-    // Rectangular phase (two-deep pipelined for kk ≥ 2).
-    if kk == 1 {
-        let a0 = load_cset::<V, MR>(pa_rect, a_i);
-        let x0 = load_cset::<V, NR>(panel, cs);
-        cfms_tile(&mut acc, &a0, &x0);
-    } else if kk >= 2 {
-        let mut a0 = load_cset::<V, MR>(pa_rect, a_i);
-        let mut a1 = load_cset::<V, MR>(pa_rect.offset(a_k), a_i);
-        pa_rect = pa_rect.wrapping_offset(2 * a_k);
-        let mut x0 = load_cset::<V, NR>(panel, cs);
-        let mut x1 = load_cset::<V, NR>(panel.offset(rs), cs);
-        let mut xrow = 2isize;
-        cfms_tile(&mut acc, &a0, &x0);
-        let mut remaining = kk - 1;
-        while remaining >= 3 {
-            a0 = load_cset::<V, MR>(pa_rect, a_i);
-            x0 = load_cset::<V, NR>(panel.offset(xrow * rs), cs);
-            pa_rect = pa_rect.wrapping_offset(a_k);
-            xrow += 1;
-            cfms_tile(&mut acc, &a1, &x1);
-            a1 = load_cset::<V, MR>(pa_rect, a_i);
-            x1 = load_cset::<V, NR>(panel.offset(xrow * rs), cs);
-            pa_rect = pa_rect.wrapping_offset(a_k);
-            xrow += 1;
-            cfms_tile(&mut acc, &a0, &x0);
-            remaining -= 2;
-        }
-        if remaining == 2 {
-            a0 = load_cset::<V, MR>(pa_rect, a_i);
-            x0 = load_cset::<V, NR>(panel.offset(xrow * rs), cs);
-            cfms_tile(&mut acc, &a1, &x1);
-            cfms_tile(&mut acc, &a0, &x0);
-        } else {
-            cfms_tile(&mut acc, &a1, &x1);
-        }
-    }
-
-    // Triangular phase with complex reciprocal diagonal.
-    let mut tri = pa_tri;
-    for i in 0..MR {
-        for j in 0..i {
-            let lij = CVec::<V>::load(tri);
-            tri = tri.add(g);
-            for col in 0..NR {
-                acc[i][col] = acc[i][col].fms(lij, acc[j][col]);
-            }
-        }
-        let rdiag = CVec::<V>::load(tri);
-        tri = tri.add(g);
-        for col in 0..NR {
-            acc[i][col] = CVec::zero().fma(acc[i][col], rdiag);
-        }
-    }
-
-    store_cblock::<V, MR, NR>(&acc, panel, row0, rs, cs);
+    trsm_block::<CplxGroup<V>, MR, NR>(
+        kk, pa_rect, a_i, a_k, pa_tri, panel, row0, row_stride, col_stride,
+    );
 }
 
 /// Rectangular-only complex TRSM kernel.
 ///
 /// # Safety
-/// As [`ctrsm_ukr`], minus the triangle.
+/// As [`trsm_rect_ukr`] with `2·P`-scalar element groups.
 #[inline(always)]
 pub unsafe fn ctrsm_rect_ukr<V: SimdReal, const MR: usize, const NR: usize>(
     kk: usize,
@@ -411,19 +438,7 @@ pub unsafe fn ctrsm_rect_ukr<V: SimdReal, const MR: usize, const NR: usize>(
     row_stride: usize,
     col_stride: usize,
 ) {
-    let (a_i, a_k) = (a_i as isize, a_k as isize);
-    let (row0, rs, cs) = (row0 as isize, row_stride as isize, col_stride as isize);
-    let mut acc = load_cblock::<V, MR, NR>(panel, row0, rs, cs);
-    // Reuse the simple path: complex rect elimination without pipelining
-    // subtleties is still correct for the ablation's purposes.
-    let mut pa = pa_rect;
-    for k in 0..kk as isize {
-        let a = load_cset::<V, MR>(pa, a_i);
-        let x = load_cset::<V, NR>(panel.offset(k * rs), cs);
-        cfms_tile(&mut acc, &a, &x);
-        pa = pa.wrapping_offset(a_k);
-    }
-    store_cblock::<V, MR, NR>(&acc, panel, row0, rs, cs);
+    rect_block::<CplxGroup<V>, MR, NR>(kk, pa_rect, a_i, a_k, panel, row0, row_stride, col_stride);
 }
 
 #[cfg(test)]
@@ -432,39 +447,31 @@ mod tests {
     use crate::oracle::{self, TestRng};
     use iatf_simd::{F32x4, F64x2, Real};
 
-    /// Builds packed operands for one block solve and compares kernel vs
+    fn to<R: Real>(v: &[f64]) -> Vec<R> {
+        v.iter().map(|&x| R::from_f64(x)).collect()
+    }
+
+    fn back<R: Real>(v: &[R]) -> Vec<f64> {
+        v.iter().map(|x| x.to_f64()).collect()
+    }
+
+    /// Builds one block's operands (strip + triangle, reciprocal diagonal,
+    /// NaN wherever the kernel must not read) and compares kernel vs
     /// oracle.
     fn check_real<V: SimdReal, const MR: usize, const NR: usize>(kk: usize) {
         let p = V::LANES;
         let rows = kk + MR;
         let mut rng = TestRng::new((MR * 41 + NR * 5 + kk) as u64);
-        // rect: kk slivers of MR groups, small magnitudes
-        let pa_rect: Vec<V::Scalar> = (0..kk * MR * p)
-            .map(|_| V::Scalar::from_f64(rng.next() / rows as f64))
-            .collect();
-        // triangle rows with reciprocal diagonal in [1,2]^-1
-        let tri_groups = MR * (MR + 1) / 2;
-        let mut pa_tri = vec![V::Scalar::ZERO; tri_groups * p];
-        for r in 0..MR {
-            let base = r * (r + 1) / 2;
-            for c in 0..=r {
-                for l in 0..p {
-                    let val = if c == r {
-                        1.0 / (1.0 + 0.5 * ((r + l) % 3) as f64)
-                    } else {
-                        rng.next() / MR as f64
-                    };
-                    pa_tri[(base + c) * p + l] = V::Scalar::from_f64(val);
-                }
-            }
-        }
-        // panel: rows× NR groups, row-major
+        // reciprocal diagonal in [1,2]^-1
+        let (strip, diag) = oracle::block_operands(MR, kk, p, p, &mut rng, |r, l| {
+            (1.0 / (1.0 + 0.5 * ((r + l) % 3) as f64), 0.0)
+        });
+        let (pa_rect, pa_tri) = (to::<V::Scalar>(&strip), to::<V::Scalar>(&diag));
+        // panel: rows × NR groups, row-major
         let row_stride = NR * p;
-        let panel0: Vec<V::Scalar> = (0..rows * NR * p)
-            .map(|_| V::Scalar::from_f64(rng.next()))
-            .collect();
+        let panel0 = to::<V::Scalar>(&(0..rows * NR * p).map(|_| rng.next()).collect::<Vec<_>>());
         let mut panel = panel0.clone();
-        // SAFETY: the buffers above are sized exactly to the kernel's packed extents for these (kk, MR, NR, P), and the strides passed match that sizing.
+        // SAFETY: the strip holds `kk + MR` slivers of MR groups, the diagonal MR groups and the panel `rows × NR` groups — exactly the extents these (kk, MR, NR, P) and strides address.
         unsafe {
             trsm_ukr::<V, MR, NR>(
                 kk,
@@ -478,11 +485,18 @@ mod tests {
                 p,
             );
         }
-        let rect_f: Vec<f64> = pa_rect.iter().map(|x| x.to_f64()).collect();
-        let tri_f: Vec<f64> = pa_tri.iter().map(|x| x.to_f64()).collect();
-        let panel_f: Vec<f64> = panel0.iter().map(|x| x.to_f64()).collect();
-        let want =
-            oracle::real_trsm_block(MR, NR, kk, p, &rect_f, &tri_f, &panel_f, kk, row_stride, p);
+        let want = oracle::real_trsm_block(
+            MR,
+            NR,
+            kk,
+            p,
+            &back(&pa_rect),
+            &back(&pa_tri),
+            &back(&panel0),
+            kk,
+            row_stride,
+            p,
+        );
         let tol = if V::Scalar::BYTES == 4 { 1e-4 } else { 1e-12 };
         for (idx, (&got, &w)) in panel.iter().zip(want.iter()).enumerate() {
             assert!(
@@ -523,7 +537,7 @@ mod tests {
         let row_stride = NR * p;
         let panel0: Vec<f64> = (0..(kk + MR) * NR * p).map(|_| rng.next()).collect();
         let mut panel = panel0.clone();
-        // SAFETY: the buffers above are sized exactly to the kernel's packed extents for these (kk, MR, NR, P), and the strides passed match that sizing.
+        // SAFETY: the strip holds exactly the `kk` slivers of MR groups the rect-only kernel reads, the panel `(kk + MR) × NR` groups; the diagonal pointer is never read.
         unsafe {
             trsm_rect_ukr::<F64x2, MR, NR>(
                 kk,
@@ -537,16 +551,21 @@ mod tests {
                 p,
             );
         }
-        // oracle: identity triangle (recip diag = 1, no off-diagonals)
-        let mut tri = vec![0.0f64; MR * (MR + 1) / 2 * p];
-        for r in 0..MR {
-            let base = (r * (r + 1) / 2 + r) * p;
-            for l in 0..p {
-                tri[base + l] = 1.0;
-            }
-        }
-        let want =
-            oracle::real_trsm_block(MR, NR, kk, p, &pa_rect, &tri, &panel0, kk, row_stride, p);
+        // oracle: identity block (zero triangle, unit diagonal)
+        let mut strip = pa_rect.clone();
+        strip.resize((kk + MR) * MR * p, 0.0);
+        let want = oracle::real_trsm_block(
+            MR,
+            NR,
+            kk,
+            p,
+            &strip,
+            &vec![1.0; MR * p],
+            &panel0,
+            kk,
+            row_stride,
+            p,
+        );
         for (got, w) in panel.iter().zip(want.iter()) {
             assert!((got - w).abs() < 1e-12);
         }
@@ -557,34 +576,17 @@ mod tests {
         let g = 2 * p;
         let rows = kk + MR;
         let mut rng = TestRng::new((MR * 301 + NR * 11 + kk) as u64);
-        let pa_rect: Vec<V::Scalar> = (0..kk * MR * g)
-            .map(|_| V::Scalar::from_f64(rng.next() / rows as f64))
-            .collect();
-        let tri_groups = MR * (MR + 1) / 2;
-        let mut pa_tri = vec![V::Scalar::ZERO; tri_groups * g];
-        for r in 0..MR {
-            let base = r * (r + 1) / 2;
-            for c in 0..=r {
-                for l in 0..p {
-                    let (re, im) = if c == r {
-                        // reciprocal of (d, 0.3) with d in [1,2]
-                        let d = 1.0 + 0.4 * ((r + l) % 3) as f64;
-                        let n = d * d + 0.09;
-                        (d / n, -0.3 / n)
-                    } else {
-                        (rng.next() / MR as f64, rng.next() / MR as f64)
-                    };
-                    pa_tri[(base + c) * g + l] = V::Scalar::from_f64(re);
-                    pa_tri[(base + c) * g + p + l] = V::Scalar::from_f64(im);
-                }
-            }
-        }
+        // reciprocal of (d, 0.3) with d in [1,2]
+        let (strip, diag) = oracle::block_operands(MR, kk, p, g, &mut rng, |r, l| {
+            let d = 1.0 + 0.4 * ((r + l) % 3) as f64;
+            let n = d * d + 0.09;
+            (d / n, -0.3 / n)
+        });
+        let (pa_rect, pa_tri) = (to::<V::Scalar>(&strip), to::<V::Scalar>(&diag));
         let row_stride = NR * g;
-        let panel0: Vec<V::Scalar> = (0..rows * NR * g)
-            .map(|_| V::Scalar::from_f64(rng.next()))
-            .collect();
+        let panel0 = to::<V::Scalar>(&(0..rows * NR * g).map(|_| rng.next()).collect::<Vec<_>>());
         let mut panel = panel0.clone();
-        // SAFETY: the buffers above are sized exactly to the kernel's packed extents for these (kk, MR, NR, P), and the strides passed match that sizing.
+        // SAFETY: the strip holds `kk + MR` slivers of MR complex groups, the diagonal MR groups and the panel `rows × NR` groups — exactly the extents these (kk, MR, NR, P) and strides address.
         unsafe {
             ctrsm_ukr::<V, MR, NR>(
                 kk,
@@ -598,11 +600,17 @@ mod tests {
                 g,
             );
         }
-        let rect_f: Vec<f64> = pa_rect.iter().map(|x| x.to_f64()).collect();
-        let tri_f: Vec<f64> = pa_tri.iter().map(|x| x.to_f64()).collect();
-        let panel_f: Vec<f64> = panel0.iter().map(|x| x.to_f64()).collect();
         let want = oracle::cplx_trsm_block(
-            MR, NR, kk, p, &rect_f, &tri_f, &panel_f, kk, row_stride, g,
+            MR,
+            NR,
+            kk,
+            p,
+            &back(&pa_rect),
+            &back(&pa_tri),
+            &back(&panel0),
+            kk,
+            row_stride,
+            g,
         );
         let tol = if V::Scalar::BYTES == 4 { 1e-3 } else { 1e-11 };
         for (idx, (&got, &w)) in panel.iter().zip(want.iter()).enumerate() {
@@ -626,8 +634,9 @@ mod tests {
 
     #[test]
     fn solves_actual_triangular_system() {
-        // End-to-end on one pack: build L (lower, nonunit), pack triangle
-        // with reciprocal diagonal, solve L·X = B for a 4×3 panel, then
+        // End-to-end on one pack: build L (lower, nonunit), lay its
+        // strictly lower part out as the strip's continuation and its
+        // diagonal as reciprocals, solve L·X = B for a 4×3 panel, then
         // verify the residual directly against L.
         let p = F64x2::LANES;
         const M: usize = 4;
@@ -646,28 +655,27 @@ mod tests {
                 }
             }
         }
-        // pack triangle rows with reciprocal diag
-        let mut tri = vec![0.0f64; M * (M + 1) / 2 * p];
+        let mut strip = vec![f64::NAN; M * M * p];
+        let mut diag = vec![0.0f64; M * p];
         for i in 0..M {
-            let base = i * (i + 1) / 2;
-            for j in 0..=i {
-                for lane in 0..p {
-                    let v = l[(i * M + j) * p + lane];
-                    tri[(base + j) * p + lane] = if i == j { 1.0 / v } else { v };
+            for lane in 0..p {
+                for j in 0..i {
+                    strip[(j * M + i) * p + lane] = l[(i * M + j) * p + lane];
                 }
+                diag[i * p + lane] = 1.0 / l[(i * M + i) * p + lane];
             }
         }
         let row_stride = NRP * p;
         let b0: Vec<f64> = (0..M * NRP * p).map(|_| rng.next()).collect();
         let mut panel = b0.clone();
-        // SAFETY: the buffers above are sized exactly to the kernel's packed extents for these (kk, MR, NR, P), and the strides passed match that sizing.
+        // SAFETY: the strip holds M slivers of M groups, the diagonal M groups and the panel `M × NRP` groups — exactly what kk = 0 and these strides address.
         unsafe {
             trsm_ukr::<F64x2, M, NRP>(
                 0,
-                core::ptr::null(),
-                0,
-                0,
-                tri.as_ptr(),
+                strip.as_ptr(),
+                p,
+                M * p,
+                diag.as_ptr(),
                 panel.as_mut_ptr(),
                 0,
                 row_stride,
@@ -694,7 +702,8 @@ mod tests {
 
     /// Reversed modes solve in place from the stored last row downwards:
     /// negative strides (two's complement in `usize`) must give bit-for-bit
-    /// the ascending result over mirrored buffers, in debug builds too.
+    /// the ascending result over mirrored buffers, in debug builds too —
+    /// the triangle included, since it continues the mirrored strip.
     #[test]
     fn descending_walk_matches_ascending() {
         fn mirror<T: Copy>(v: &[T], n: usize, len: usize) -> Vec<T> {
@@ -712,28 +721,26 @@ mod tests {
                     .map(|_| V::Scalar::from_f64(0.5 + scale * rng.next()))
                     .collect()
             };
-            let rect = gen(kk * MR * g, 0.1);
-            let tri = gen(MR * (MR + 1) / 2 * g, 0.1);
+            let strip = gen(rows * MR * g, 0.1);
+            let diag = gen(MR * g, 0.1);
             let fwd0 = gen(rows * NR * g, 1.0);
             let rs = NR * g;
             let mut fwd = fwd0.clone();
             let mut rev = mirror(&fwd0, rows, rs);
-            let rect_rev = mirror(&rect, kk, MR * g);
+            let strip_rev = mirror(&strip, rows, MR * g);
             let kernel = if cplx {
                 ctrsm_ukr::<V, MR, NR>
             } else {
                 trsm_ukr::<V, MR, NR>
             };
-            // `kk == 0` never reads the rect strip, so its start pointer is as good as any
-            let last_sliver = kk.saturating_sub(1) * MR * g;
-            // SAFETY: both calls address exactly the `rows × NR` panel and the `kk` rect slivers built above — ascending from element 0, or descending from the last row / last sliver with negated strides.
+            // SAFETY: both calls address exactly the `rows × NR` panel and the `kk + MR` strip slivers built above — ascending from element 0, or descending from the last row / last sliver with negated strides.
             unsafe {
                 kernel(
                     kk,
-                    rect.as_ptr(),
+                    strip.as_ptr(),
                     g,
                     MR * g,
-                    tri.as_ptr(),
+                    diag.as_ptr(),
                     fwd.as_mut_ptr(),
                     kk,
                     rs,
@@ -741,10 +748,10 @@ mod tests {
                 );
                 kernel(
                     kk,
-                    rect_rev.as_ptr().add(last_sliver),
+                    strip_rev.as_ptr().add((rows - 1) * MR * g),
                     g,
                     (MR * g).wrapping_neg(),
-                    tri.as_ptr(),
+                    diag.as_ptr(),
                     rev.as_mut_ptr().add((rows - 1) * rs),
                     kk,
                     rs.wrapping_neg(),

@@ -102,28 +102,17 @@ proptest! {
     ) {
         let p = F64x2::LANES;
         let rows = kk + mr;
-        let pa_rect: Vec<f64> = vecs(kk * mr * p, seed as u64, 1.0 / rows as f64);
-        // triangle with safe reciprocal diagonal
+        // strip continued by the triangle, safe reciprocal diagonal
         let mut rng = oracle::TestRng::new(seed as u64 + 9);
-        let tg = mr * (mr + 1) / 2;
-        let mut tri = vec![0.0f64; tg * p];
-        for r in 0..mr {
-            let base = r * (r + 1) / 2;
-            for cc in 0..=r {
-                for l in 0..p {
-                    tri[(base + cc) * p + l] = if cc == r {
-                        1.0 / (1.0 + rng.next().abs())
-                    } else {
-                        rng.next() / mr as f64
-                    };
-                }
-            }
-        }
+        let diag_of = |r: usize, l: usize| {
+            (1.0 / (1.0 + 0.25 * ((r + l + seed as usize) % 4) as f64), 0.0)
+        };
+        let (pa_rect, tri) = oracle::block_operands(mr, kk, p, p, &mut rng, diag_of);
         let row_stride = nr * p;
         let panel0: Vec<f64> = vecs(rows * nr * p, seed as u64 + 3, 1.0);
         let mut panel = panel0.clone();
         let kern = real_trsm_kernel::<f64>(VecWidth::W128, mr, nr);
-        // SAFETY: the buffers above are sized exactly to the kernel's packed extents for the proptest-chosen (k, mr, nr, P), and the strides passed match that sizing.
+        // SAFETY: the strip holds `kk + mr` slivers of mr groups, the diagonal mr groups and the panel `rows × nr` groups — exactly what the proptest-chosen (kk, mr, nr, P) and these strides address.
         unsafe {
             kern(kk, pa_rect.as_ptr(), p, mr * p, tri.as_ptr(),
                  panel.as_mut_ptr(), kk, row_stride, p);
@@ -144,34 +133,22 @@ proptest! {
         let p = F32x4::LANES;
         let g = 2 * p;
         let rows = kk + mr;
-        let rect64 = vecs(kk * mr * g, seed as u64, 1.0 / rows as f64);
-        let pa_rect: Vec<f32> = rect64.iter().map(|&x| x as f32).collect();
         let mut rng = oracle::TestRng::new(seed as u64 + 9);
-        let tg = mr * (mr + 1) / 2;
-        let mut tri = vec![0.0f32; tg * g];
-        for r in 0..mr {
-            let base = r * (r + 1) / 2;
-            for cc in 0..=r {
-                for l in 0..p {
-                    if cc == r {
-                        let d = 1.0 + rng.next().abs();
-                        let di = 0.2 * rng.next();
-                        let n = d * d + di * di;
-                        tri[(base + cc) * g + l] = (d / n) as f32;
-                        tri[(base + cc) * g + p + l] = (-di / n) as f32;
-                    } else {
-                        tri[(base + cc) * g + l] = (rng.next() / mr as f64) as f32;
-                        tri[(base + cc) * g + p + l] = (rng.next() / mr as f64) as f32;
-                    }
-                }
-            }
-        }
+        let diag_of = |r: usize, l: usize| {
+            let d = 1.0 + 0.25 * ((r + l + seed as usize) % 4) as f64;
+            let di = 0.2 - 0.1 * ((r * 3 + l) % 5) as f64;
+            let n = d * d + di * di;
+            (d / n, -di / n)
+        };
+        let (rect64, tri64) = oracle::block_operands(mr, kk, p, g, &mut rng, diag_of);
+        let pa_rect: Vec<f32> = rect64.iter().map(|&x| x as f32).collect();
+        let tri: Vec<f32> = tri64.iter().map(|&x| x as f32).collect();
         let row_stride = nr * g;
         let panel064 = vecs(rows * nr * g, seed as u64 + 3, 1.0);
         let panel0: Vec<f32> = panel064.iter().map(|&x| x as f32).collect();
         let mut panel = panel0.clone();
         let kern = cplx_trsm_kernel::<f32>(VecWidth::W128, mr, nr);
-        // SAFETY: the buffers above are sized exactly to the kernel's packed extents for the proptest-chosen (k, mr, nr, P), and the strides passed match that sizing.
+        // SAFETY: the strip holds `kk + mr` slivers of mr groups, the diagonal mr groups and the panel `rows × nr` groups — exactly what the proptest-chosen (kk, mr, nr, P) and these strides address.
         unsafe {
             kern(kk, pa_rect.as_ptr(), g, mr * g, tri.as_ptr(),
                  panel.as_mut_ptr(), kk, row_stride, g);

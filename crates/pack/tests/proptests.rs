@@ -158,14 +158,19 @@ proptest! {
         let blocks = pt::block_decomposition(t, 4, 5);
         let (layout, total) = pt::a_layout::<f64>(2, &blocks);
         let mut dst = vec![0.0f64; total];
-        pt::pack_a_trsm::<f64>(&mut dst, compact.pack_slice(0), t, 2, &map, &layout, 2);
+        pt::pack_a_tri::<f64>(&mut dst, compact.pack_slice(0), t, 2, &map, &layout, 2, true);
         for blk in &layout {
             for i in 0..blk.mb {
-                let base = blk.tri_off + (i * (i + 1) / 2 + i) * 2;
+                let base = blk.tri_off + i * 2;
                 for lane in 0..2 {
                     let d = std.get(lane, blk.r0 + i, blk.r0 + i);
                     let prod = dst[base + lane] * d;
                     prop_assert!((prod - 1.0).abs() < 1e-12);
+                    // the off-diagonal triangle continues the strip
+                    for j in 0..i {
+                        let at = blk.rect_off + ((blk.r0 + j) * blk.mb + i) * 2 + lane;
+                        prop_assert_eq!(dst[at], std.get(lane, blk.r0 + i, blk.r0 + j));
+                    }
                 }
             }
         }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full pre-merge verification: tier-1 build+test (repeated under every
 # executable forced vector width, with the in-place-vs-packed differential
-# suite beside it), every feature-gate state (obs,
+# suite beside it), the frozen benchmark's harness tests and traced
+# triangular replay, every feature-gate state (obs,
 # parallel, trace, watch, journal), the perf-regression sentinel against
 # the committed baselines, the width-sweep gate (wider backends must not
 # lose to 128-bit), the trace/roofline smoke, the watch drift-detection
@@ -45,6 +46,18 @@ echo "==> in-place streaming: signed-stride kernels, address envelopes, conversi
 cargo test -q -p iatf-kernels
 cargo test -q -p iatf-pack
 cargo test -q -p iatf-layout
+
+echo "==> frozen benchmark: harness tests and a traced triangular replay"
+# The benchmark's `--trace 1` replay drives the triangular operand
+# contract from its own sources (`iatf_pack::trsm::{a_layout, pack_a_tri}`
+# and the block kernels at `(rect_off, g, mb·g, tri_off)`), so a change to
+# that contract must keep its harness tests green and its replay correct.
+cargo test -q --manifest-path benchmark/Cargo.toml
+mkdir -p target
+cargo run -q --release --manifest-path benchmark/Cargo.toml -- \
+  --workload tri_resident --seed 1 --seconds 2 --trace 1 > target/bench_tri_trace.txt
+grep -Eq '^verdict +correct' target/bench_tri_trace.txt \
+  || { echo "FAIL: traced tri_resident replay is not 'verdict correct'"; exit 1; }
 
 echo "==> obs feature OFF is the default release artifact (built above)"
 echo "==> obs feature ON: release build"

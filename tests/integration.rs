@@ -207,3 +207,79 @@ fn in_place_streaming_matches_packed_in_every_mode() {
         assert!(want.max_abs_diff(&y.to_std()) < 1e-9, "trmm {mode}");
     }
 }
+
+#[test]
+fn in_place_kernels_never_read_outside_the_referenced_triangle() {
+    // The in-place kernels read each diagonal block's triangle where A is
+    // stored. With NaN in A's unreferenced triangle (and, in the unit
+    // mode, on its stored diagonal) any stray read reaches the result:
+    // the default path must stay finite, bit-identical to the fully
+    // packed one, and on the oracle. One mode per (side, effective uplo)
+    // plus a unit mode, at the dispatched width, count P + 1.
+    use iatf::simd::Real;
+    fn check<E: iatf::CompactElement>(dlim: f64) {
+        let auto = TuningConfig::host();
+        let always = TuningConfig {
+            pack: iatf::PackPolicy::Always,
+            ..auto.clone()
+        };
+        let count = E::p_at(auto.width) + 1;
+        let alpha = E::from_f64s(1.5, -0.25);
+        let unit = TrsmMode::new(Side::Right, Trans::Yes, Uplo::Lower, Diag::Unit);
+        let mut modes = vec![unit];
+        for mode in TrsmMode::all() {
+            let class = |m: &TrsmMode| (m.side, m.effective_uplo());
+            if mode.diag == Diag::NonUnit && !modes.iter().any(|m| class(m) == class(&mode)) {
+                modes.push(mode);
+            }
+        }
+        let bits = |s: &StdBatch<E>| -> Vec<u64> {
+            s.as_slice()
+                .iter()
+                .flat_map(|x| [x.re().to_f64().to_bits(), x.im().to_f64().to_bits()])
+                .collect()
+        };
+        for mode in modes {
+            let (m, n) = (9usize, 6usize);
+            let t = if mode.side == Side::Left { m } else { n };
+            let stored = StdBatch::<E>::random_triangular(t, count, mode.uplo, mode.diag, 71);
+            let a_std = StdBatch::from_fn(t, t, count, |v, i, j| {
+                let referenced = match mode.uplo {
+                    Uplo::Lower => i >= j,
+                    Uplo::Upper => i <= j,
+                };
+                if referenced && !(i == j && mode.diag == Diag::Unit) {
+                    stored.get(v, i, j)
+                } else {
+                    E::from_f64s(f64::NAN, f64::NAN)
+                }
+            });
+            let b_std = StdBatch::<E>::random(m, n, count, 72);
+            let a = CompactBatch::from_std(&a_std);
+            for solve in [true, false] {
+                let run = |cfg: &TuningConfig| {
+                    let mut b = CompactBatch::from_std(&b_std);
+                    if solve {
+                        compact_trsm(mode, alpha, &a, &mut b, cfg).unwrap();
+                    } else {
+                        compact_trmm(mode, alpha, &a, &mut b, cfg).unwrap();
+                    }
+                    b.to_std()
+                };
+                let got = run(&auto);
+                let what = format!("{:?} {mode} solve={solve}", E::DTYPE);
+                assert!(got.as_slice().iter().all(|x| x.is_finite()), "{what}");
+                assert_eq!(bits(&got), bits(&run(&always)), "{what}");
+                let mut want = b_std.clone();
+                if solve {
+                    naive::trsm_ref(mode, false, alpha, &a_std, &mut want);
+                } else {
+                    naive::trmm_ref(mode, false, alpha, &a_std, &mut want);
+                }
+                assert!(want.max_abs_diff(&got) < dlim, "{what}");
+            }
+        }
+    }
+    check::<f64>(1e-9);
+    check::<c32>(2e-3);
+}
