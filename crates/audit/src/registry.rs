@@ -66,8 +66,7 @@ static WORKSPACE: Registry = Registry {
         "crates/trace/src/pmu/sys.rs",
         // Plan executors calling the unsafe kernel entry points.
         "crates/core/src/plan/gemm.rs",
-        "crates/core/src/plan/trsm.rs",
-        "crates/core/src/plan/trmm.rs",
+        "crates/core/src/plan/tri.rs",
         // Codegen equivalence harness drives raw kernel pointers.
         "crates/codegen/tests/equivalence.rs",
         // Bench runners call kernels directly to time them.

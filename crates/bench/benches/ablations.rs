@@ -22,7 +22,6 @@ fn pack_policy(c: &mut Criterion) {
         for (policy, name) in [
             (PackPolicy::Auto, "auto"),
             (PackPolicy::Always, "always"),
-            (PackPolicy::Never, "never"),
         ] {
             let cfg = TuningConfig {
                 pack: policy,

@@ -11,8 +11,8 @@
 //! ```
 //!
 //! `callamort` measures call-amortization: per-call cost of a prebuilt
-//! plan's `execute` vs the cached and bypass (fresh-plan-per-call) one-shot
-//! paths at small sizes, where run-time-stage overhead is comparable to
+//! plan's `execute` vs the cached one-shot path and a fresh plan per call
+//! at small sizes, where run-time-stage overhead is comparable to
 //! compute. `--json` emits one combined document with the per-size numbers
 //! and the plan-cache counters.
 //!
@@ -682,20 +682,19 @@ fn ablation_pack(opts: &Opts) {
 }
 
 fn ablation_pack_for<E: CompactElement>(opts: &Opts, mode: GemmMode, label: &str) {
-    const POLICIES: [(PackPolicy, &str); 3] = [
+    const POLICIES: [(PackPolicy, &str); 2] = [
         (PackPolicy::Auto, "Auto (in place)"),
         (PackPolicy::Always, "Always pack"),
-        (PackPolicy::Never, "Never pack"),
     ];
     // Interleaved best-of-rounds, the `widths` protocol: the policies take
-    // turns on the same operands, so load drift on a shared host hits all
-    // three and the ratio between columns is tighter than either column.
+    // turns on the same operands, so load drift on a shared host hits both
+    // and their ratio is tighter than either column.
     const ROUNDS: usize = 5;
-    let mut vals: [Vec<f64>; 3] = Default::default();
+    let mut vals: [Vec<f64>; 2] = Default::default();
     for &n in &opts.sizes {
         let batch = scaled_batch(opts.batch_base, n);
         let mut w = gemm_workload::<E>(n, mode, batch, n as u64);
-        let mut best = [0.0f64; 3];
+        let mut best = [0.0f64; 2];
         for _ in 0..ROUNDS {
             for (best, (policy, _)) in best.iter_mut().zip(POLICIES) {
                 let cfg = TuningConfig {
@@ -1000,8 +999,9 @@ fn obs_telemetry(opts: &Opts) {
 ///   with a fresh fingerprint (an `l1_budget_fraction` perturbation too
 ///   small to change any planning decision), so every lookup is a cold
 ///   miss that runs the full run-time stage *and* the insert/evict path.
-/// * `bypass` — one-shot under `Bypass`: the run-time stage per call, no
-///   cache traffic at all (the reference for what the cache must beat).
+/// * `fresh` — `GemmPlan::new` + `execute` per call: the run-time stage
+///   per call, no cache traffic at all (the reference for what the cache
+///   must beat).
 ///
 /// The *overhead* columns subtract the `exec` floor, isolating what the
 /// caller pays for dispatch; `ratio` is miss-overhead over hit-overhead —
@@ -1015,7 +1015,7 @@ fn obs_telemetry(opts: &Opts) {
 /// the perf-trajectory baseline for `BENCH_3.json`.
 fn callamort(opts: &Opts) {
     use iatf_core::plan::cache;
-    use iatf_core::{compact_gemm, GemmPlan, PlanCachePolicy};
+    use iatf_core::{compact_gemm, GemmPlan};
     use iatf_layout::GemmDims;
 
     let sizes: Vec<usize> = {
@@ -1031,15 +1031,11 @@ fn callamort(opts: &Opts) {
     // would bury a ~100 ns dispatch delta in timing jitter.
     let count = opts.batch_base.clamp(1, 8);
     let cfg = TuningConfig::default();
-    let bypass = TuningConfig {
-        plan_cache: PlanCachePolicy::Bypass,
-        ..TuningConfig::default()
-    };
 
     let mut exec_ns = Vec::new();
     let mut hit_ns = Vec::new();
     let mut miss_ns = Vec::new();
-    let mut bypass_ns = Vec::new();
+    let mut fresh_ns = Vec::new();
     cache::clear();
     // Monotone counter across all timing passes: every `miss` call gets a
     // config whose fingerprint has never been seen, so it can never hit.
@@ -1067,12 +1063,12 @@ fn callamort(opts: &Opts) {
             &cfg,
         )
         .unwrap();
-        let (mut t_exec, mut t_hit, mut t_miss, mut t_bypass) =
+        let (mut t_exec, mut t_hit, mut t_miss, mut t_fresh) =
             (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY);
         let mut c_exec = w.c_c.clone();
         let mut c_hit = w.c_c.clone();
         let mut c_miss = w.c_c.clone();
-        let mut c_bypass = w.c_c.clone();
+        let mut c_fresh = w.c_c.clone();
         for _ in 0..ROUNDS {
             t_exec = t_exec.min(iatf_bench::timer::time_secs(&round, || {
                 plan.execute(1.0, &w.a_c, &w.b_c, 0.0, &mut c_exec).unwrap();
@@ -1090,28 +1086,36 @@ fn callamort(opts: &Opts) {
                 };
                 compact_gemm(GemmMode::NN, 1.0, &w.a_c, &w.b_c, 0.0, &mut c_miss, &cold).unwrap();
             }));
-            t_bypass = t_bypass.min(iatf_bench::timer::time_secs(&round, || {
-                compact_gemm(GemmMode::NN, 1.0, &w.a_c, &w.b_c, 0.0, &mut c_bypass, &bypass)
-                    .unwrap();
+            t_fresh = t_fresh.min(iatf_bench::timer::time_secs(&round, || {
+                let plan = GemmPlan::<f64>::new(
+                    GemmDims::square(n),
+                    GemmMode::NN,
+                    false,
+                    false,
+                    count,
+                    &cfg,
+                )
+                .unwrap();
+                plan.execute(1.0, &w.a_c, &w.b_c, 0.0, &mut c_fresh).unwrap();
             }));
         }
         exec_ns.push(t_exec * 1e9);
         hit_ns.push(t_hit * 1e9);
         miss_ns.push(t_miss * 1e9);
-        bypass_ns.push(t_bypass * 1e9);
+        fresh_ns.push(t_fresh * 1e9);
     }
 
     // Dispatch cost measured *directly*: time the plan-resolution step
     // alone (what a one-shot call does before `execute`), with no floor
     // subtraction to amplify jitter. `hit` is a warm cache lookup, `miss`
     // a never-seen fingerprint (lookup + build + insert + eviction at
-    // capacity), `bypass` a bare plan build.
+    // capacity), `build` a bare plan build.
     let mut dispatch_hit_ns = Vec::new();
     let mut dispatch_miss_ns = Vec::new();
-    let mut dispatch_bypass_ns = Vec::new();
+    let mut dispatch_build_ns = Vec::new();
     for &n in &sizes {
         let dims = GemmDims::square(n);
-        let (mut t_hit, mut t_miss, mut t_bypass) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        let (mut t_hit, mut t_miss, mut t_build) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
         for _ in 0..ROUNDS {
             t_hit = t_hit.min(iatf_bench::timer::time_secs(&round, || {
                 let plan =
@@ -1130,15 +1134,15 @@ fn callamort(opts: &Opts) {
                         .unwrap();
                 std::hint::black_box(&plan);
             }));
-            t_bypass = t_bypass.min(iatf_bench::timer::time_secs(&round, || {
+            t_build = t_build.min(iatf_bench::timer::time_secs(&round, || {
                 let plan =
-                    GemmPlan::<f64>::new(dims, GemmMode::NN, false, false, count, &bypass).unwrap();
+                    GemmPlan::<f64>::new(dims, GemmMode::NN, false, false, count, &cfg).unwrap();
                 std::hint::black_box(&plan);
             }));
         }
         dispatch_hit_ns.push(t_hit * 1e9);
         dispatch_miss_ns.push(t_miss * 1e9);
-        dispatch_bypass_ns.push(t_bypass * 1e9);
+        dispatch_build_ns.push(t_build * 1e9);
     }
 
     let overhead = |per_call: &[f64]| -> Vec<f64> {
@@ -1150,7 +1154,7 @@ fn callamort(opts: &Opts) {
     };
     let oh_hit = overhead(&hit_ns);
     let oh_miss = overhead(&miss_ns);
-    let oh_bypass = overhead(&bypass_ns);
+    let oh_fresh = overhead(&fresh_ns);
     // Denominator floored at 1 ns: a hit that measures at or below the
     // prebuilt floor is timing jitter, not a free lookup.
     let ratio: Vec<f64> = oh_miss
@@ -1213,13 +1217,13 @@ fn callamort(opts: &Opts) {
             .set("exec_ns", ns_list(&exec_ns))
             .set("hit_ns", ns_list(&hit_ns))
             .set("miss_ns", ns_list(&miss_ns))
-            .set("bypass_ns", ns_list(&bypass_ns))
+            .set("fresh_ns", ns_list(&fresh_ns))
             .set("hit_overhead_ns", ns_list(&oh_hit))
             .set("miss_overhead_ns", ns_list(&oh_miss))
-            .set("bypass_overhead_ns", ns_list(&oh_bypass))
+            .set("fresh_overhead_ns", ns_list(&oh_fresh))
             .set("dispatch_hit_ns", ns_list(&dispatch_hit_ns))
             .set("dispatch_miss_ns", ns_list(&dispatch_miss_ns))
-            .set("dispatch_bypass_ns", ns_list(&dispatch_bypass_ns))
+            .set("dispatch_build_ns", ns_list(&dispatch_build_ns))
             .set("amortization_ratio", ns_list(&ratio))
             .set("aggregate_amortization_ratio", aggregate)
             .set(
@@ -1240,7 +1244,6 @@ fn callamort(opts: &Opts) {
                     .set("hits", stats.hits)
                     .set("misses", stats.misses)
                     .set("evictions", stats.evictions)
-                    .set("bypasses", stats.bypasses)
                     .set("entries", stats.entries as u64),
             );
         println!("{}", doc.to_pretty());
@@ -1250,12 +1253,12 @@ fn callamort(opts: &Opts) {
     println!("## Call amortization: per-call dispatch overhead (f64 GEMM NN, batch {count})");
     println!(
         "{:>4} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8}",
-        "n", "exec ns", "hit ns", "miss ns", "bypass ns", "hit oh", "miss oh", "ratio"
+        "n", "exec ns", "hit ns", "miss ns", "fresh ns", "hit oh", "miss oh", "ratio"
     );
     for (i, &n) in sizes.iter().enumerate() {
         println!(
             "{n:>4} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>7.1}x",
-            exec_ns[i], hit_ns[i], miss_ns[i], bypass_ns[i], oh_hit[i], oh_miss[i], ratio[i]
+            exec_ns[i], hit_ns[i], miss_ns[i], fresh_ns[i], oh_hit[i], oh_miss[i], ratio[i]
         );
     }
     println!();
@@ -1269,14 +1272,14 @@ fn callamort(opts: &Opts) {
             "{n:>4} {:>12.1} {:>12.1} {:>12.1} {:>7.1}x",
             dispatch_hit_ns[i],
             dispatch_miss_ns[i],
-            dispatch_bypass_ns[i],
+            dispatch_build_ns[i],
             dispatch_miss_ns[i] / dispatch_hit_ns[i].max(1.0)
         );
     }
     println!("   aggregate: uncached dispatch costs {aggregate:.1}x the cached dispatch");
     println!(
-        "   plan cache: {} hits, {} misses, {} evictions, {} bypasses, {} resident",
-        stats.hits, stats.misses, stats.evictions, stats.bypasses, stats.entries
+        "   plan cache: {} hits, {} misses, {} evictions, {} resident",
+        stats.hits, stats.misses, stats.evictions, stats.entries
     );
     println!();
     println!("## Executor throughput (f64 GEMM NN, batch {tp_count})");
@@ -1535,7 +1538,7 @@ fn widths_gemm_point<E: CompactElement>(
     widths: &[iatf_simd::VecWidth],
     round: &TimeOpts,
 ) -> Vec<(iatf_simd::VecWidth, f64, f64)> {
-    use iatf_core::{GemmPlan, PlanCachePolicy};
+    use iatf_core::GemmPlan;
     use iatf_layout::{CompactBatch, GemmDims, StdBatch};
 
     let a = StdBatch::<E>::random(n, n, count, 0x80);
@@ -1545,7 +1548,6 @@ fn widths_gemm_point<E: CompactElement>(
         .map(|&w| {
             let cfg = TuningConfig {
                 width: w,
-                plan_cache: PlanCachePolicy::Bypass,
                 ..TuningConfig::default()
             };
             let plan =
@@ -1584,7 +1586,7 @@ fn widths_trsm_point(
     widths: &[iatf_simd::VecWidth],
     round: &TimeOpts,
 ) -> Vec<(iatf_simd::VecWidth, f64, f64)> {
-    use iatf_core::{PlanCachePolicy, TrsmPlan};
+    use iatf_core::TrsmPlan;
     use iatf_layout::{CompactBatch, StdBatch, TrsmDims};
 
     let mode = TrsmMode::LNUN;
@@ -1595,7 +1597,6 @@ fn widths_trsm_point(
         .map(|&w| {
             let cfg = TuningConfig {
                 width: w,
-                plan_cache: PlanCachePolicy::Bypass,
                 ..TuningConfig::default()
             };
             let plan = TrsmPlan::<f64>::new(TrsmDims::square(n), mode, false, count, &cfg).unwrap();
@@ -2490,7 +2491,7 @@ fn sentinel(opts: &Opts) {
 /// Prometheus exposition always lands in `target/watch_prometheus.txt`.
 fn watch_bench(opts: &Opts) {
     use iatf_core::autotune::gemm_tune_key;
-    use iatf_core::{compact_gemm, watch, PlanCachePolicy, TunePolicy};
+    use iatf_core::{compact_gemm, watch, TunePolicy};
     use iatf_layout::{CompactBatch, GemmDims, StdBatch};
     use iatf_tune::TuningDb;
 
@@ -2517,7 +2518,6 @@ fn watch_bench(opts: &Opts) {
     let budget_ms: u64 = if opts.paper { 60 } else { 20 };
     let cfg = TuningConfig {
         tune: TunePolicy::FirstTouch(budget_ms),
-        plan_cache: PlanCachePolicy::Shared,
         ..TuningConfig::default()
     };
     let count = opts.batch_base.clamp(64, 256);
@@ -2867,7 +2867,7 @@ fn journal_scratch_env() {
 /// a disk replay. Exits 1 listing every broken link.
 fn journal_selftest(opts: &Opts) {
     use iatf_core::autotune::gemm_tune_key;
-    use iatf_core::{compact_gemm, journal, watch, PlanCachePolicy, TunePolicy};
+    use iatf_core::{compact_gemm, journal, watch, TunePolicy};
     use iatf_layout::{CompactBatch, GemmDims, StdBatch};
     use iatf_tune::TuningDb;
 
@@ -2899,7 +2899,6 @@ fn journal_selftest(opts: &Opts) {
     let budget_ms: u64 = if opts.paper { 60 } else { 20 };
     let cfg = TuningConfig {
         tune: TunePolicy::FirstTouch(budget_ms),
-        plan_cache: PlanCachePolicy::Shared,
         ..TuningConfig::default()
     };
     let n = 8usize;
@@ -3057,12 +3056,11 @@ fn journal_selftest(opts: &Opts) {
 /// the delta, proving the "zero-cost when disabled, cheap when enabled"
 /// claim with numbers instead of by inspection.
 fn journal_overhead(opts: &Opts) {
-    use iatf_core::{compact_gemm, PlanCachePolicy, TunePolicy};
+    use iatf_core::{compact_gemm, TunePolicy};
     use iatf_layout::{CompactBatch, StdBatch};
 
     let cfg = TuningConfig {
         tune: TunePolicy::Heuristic,
-        plan_cache: PlanCachePolicy::Shared,
         ..TuningConfig::default()
     };
     let n = 8usize;

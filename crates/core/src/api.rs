@@ -1,66 +1,22 @@
 //! Public entry points.
 //!
-//! The one-shot functions plan and execute in a single call. Under the
-//! default [`PlanCachePolicy::Shared`](crate::config::PlanCachePolicy)
-//! they consult the process-wide [plan cache](crate::plan::cache), so
-//! repeated same-shape calls reuse the plan built by the first one — the
-//! run-time stage "only generates this execution plan at the beginning"
-//! (§5.3), amortized across calls. Callers that manage plan lifetimes
-//! themselves build a [`GemmPlan`]/[`TrsmPlan`] directly and call
-//! `execute` repeatedly, or set `PlanCachePolicy::Bypass`.
+//! The one-shot functions plan and execute in a single call, through the
+//! process-wide [plan cache](crate::plan::cache): repeated same-shape calls
+//! reuse the plan built by the first one — the run-time stage "only
+//! generates this execution plan at the beginning" (§5.3), amortized
+//! across calls. Callers that manage plan lifetimes themselves build a
+//! [`GemmPlan`](crate::GemmPlan) / [`TrsmPlan`](crate::TrsmPlan) /
+//! [`TrmmPlan`](crate::TrmmPlan) directly and call `execute` repeatedly.
+//! Either way a plan whose tuned entry measured parallel execution faster
+//! runs on the rayon executor (with the `parallel` feature); both paths
+//! produce bit-identical results.
 
 use crate::autotune;
-use crate::config::{PlanCachePolicy, TunePolicy, TuningConfig};
+use crate::config::{TunePolicy, TuningConfig};
 use crate::elem::CompactElement;
-use crate::plan::{cache, GemmPlan, TrmmPlan, TrsmPlan};
+use crate::plan::cache;
+use crate::plan::tri::{Multiply, Solve, TriOp};
 use iatf_layout::{CompactBatch, GemmDims, GemmMode, LayoutError, StdBatch, Trans, TrsmDims, TrsmMode};
-
-/// Runs a GEMM plan with the tuned serial/parallel crossover: plans whose
-/// tuned entry measured parallel execution faster dispatch to the rayon
-/// executor (when the `parallel` feature is on), everything else takes
-/// the serial path. Both paths produce bit-identical results.
-fn run_gemm<E: CompactElement>(
-    plan: &GemmPlan<E>,
-    alpha: E,
-    a: &CompactBatch<E>,
-    b: &CompactBatch<E>,
-    beta: E,
-    c: &mut CompactBatch<E>,
-) -> Result<(), LayoutError> {
-    #[cfg(feature = "parallel")]
-    if plan.use_parallel() {
-        return plan.execute_parallel(alpha, a, b, beta, c);
-    }
-    plan.execute(alpha, a, b, beta, c)
-}
-
-/// TRSM twin of [`run_gemm`].
-fn run_trsm<E: CompactElement>(
-    plan: &TrsmPlan<E>,
-    alpha: E,
-    a: &CompactBatch<E>,
-    b: &mut CompactBatch<E>,
-) -> Result<(), LayoutError> {
-    #[cfg(feature = "parallel")]
-    if plan.use_parallel() {
-        return plan.execute_parallel(alpha, a, b);
-    }
-    plan.execute(alpha, a, b)
-}
-
-/// TRMM twin of [`run_gemm`].
-fn run_trmm<E: CompactElement>(
-    plan: &TrmmPlan<E>,
-    alpha: E,
-    a: &CompactBatch<E>,
-    b: &mut CompactBatch<E>,
-) -> Result<(), LayoutError> {
-    #[cfg(feature = "parallel")]
-    if plan.use_parallel() {
-        return plan.execute_parallel(alpha, a, b);
-    }
-    plan.execute(alpha, a, b)
-}
 
 /// Compact batched GEMM: `C = α·op(A)·op(B) + β·C` for every matrix in the
 /// group.
@@ -124,17 +80,8 @@ pub fn compact_gemm_ex<E: CompactElement>(
             E::DTYPE.flops_per_mac() as f64 * dims.macs() as f64 * c.count() as f64,
         )
     });
-    match cfg.plan_cache {
-        PlanCachePolicy::Shared => {
-            let plan = cache::cached_gemm_plan::<E>(dims, mode, conj_a, conj_b, c.count(), cfg)?;
-            run_gemm(&plan, alpha, a, b, beta, c)
-        }
-        PlanCachePolicy::Bypass => {
-            cache::note_bypass();
-            let plan = GemmPlan::<E>::new(dims, mode, conj_a, conj_b, c.count(), cfg)?;
-            run_gemm(&plan, alpha, a, b, beta, c)
-        }
-    }
+    let plan = cache::cached_gemm_plan::<E>(dims, mode, conj_a, conj_b, c.count(), cfg)?;
+    plan.execute_with(plan.use_parallel(), alpha, a, b, beta, c)
 }
 
 /// Compact batched TRSM: solves `op(A)·X = α·B` (left) or `X·op(A) = α·B`
@@ -162,28 +109,7 @@ pub fn compact_trsm_ex<E: CompactElement>(
     b: &mut CompactBatch<E>,
     cfg: &TuningConfig,
 ) -> Result<(), LayoutError> {
-    let dims = TrsmDims::new(b.rows(), b.cols());
-    if matches!(cfg.tune, TunePolicy::FirstTouch(_)) {
-        autotune::ensure_tuned_trsm::<E>(dims, mode, conj, b.count(), cfg);
-    }
-    autotune::maybe_retune_trsm::<E>(dims, mode, conj, b.count(), cfg);
-    let _watch = iatf_watch::dispatch_span(|| {
-        (
-            autotune::trsm_tune_key::<E>(dims, mode, conj, b.count(), cfg.width),
-            E::DTYPE.flops_per_mac() as f64 * dims.macs(mode) as f64 * b.count() as f64,
-        )
-    });
-    match cfg.plan_cache {
-        PlanCachePolicy::Shared => {
-            let plan = cache::cached_trsm_plan::<E>(dims, mode, conj, b.count(), cfg)?;
-            run_trsm(&plan, alpha, a, b)
-        }
-        PlanCachePolicy::Bypass => {
-            cache::note_bypass();
-            let plan = TrsmPlan::<E>::new(dims, mode, conj, b.count(), cfg)?;
-            run_trsm(&plan, alpha, a, b)
-        }
-    }
+    compact_tri_ex::<E, Solve>(mode, conj, alpha, a, b, cfg)
 }
 
 /// Compact batched TRMM (extension): `B = α·op(A)·B` (left) or
@@ -210,28 +136,32 @@ pub fn compact_trmm_ex<E: CompactElement>(
     b: &mut CompactBatch<E>,
     cfg: &TuningConfig,
 ) -> Result<(), LayoutError> {
+    compact_tri_ex::<E, Multiply>(mode, conj, alpha, a, b, cfg)
+}
+
+/// The one-shot path of both triangular ops: tuning and drift remediation
+/// as in [`compact_gemm_ex`], then the cached plan.
+fn compact_tri_ex<E: CompactElement, O: TriOp<E>>(
+    mode: TrsmMode,
+    conj: bool,
+    alpha: E,
+    a: &CompactBatch<E>,
+    b: &mut CompactBatch<E>,
+    cfg: &TuningConfig,
+) -> Result<(), LayoutError> {
     let dims = TrsmDims::new(b.rows(), b.cols());
     if matches!(cfg.tune, TunePolicy::FirstTouch(_)) {
-        autotune::ensure_tuned_trmm::<E>(dims, mode, conj, b.count(), cfg);
+        autotune::ensure_tuned_tri::<E, O>(dims, mode, conj, b.count(), cfg);
     }
-    autotune::maybe_retune_trmm::<E>(dims, mode, conj, b.count(), cfg);
+    autotune::maybe_retune_tri::<E, O>(dims, mode, conj, b.count(), cfg);
     let _watch = iatf_watch::dispatch_span(|| {
         (
-            autotune::trmm_tune_key::<E>(dims, mode, conj, b.count(), cfg.width),
+            autotune::tri_tune_key::<E, O>(dims, mode, conj, b.count(), cfg.width),
             E::DTYPE.flops_per_mac() as f64 * dims.macs(mode) as f64 * b.count() as f64,
         )
     });
-    match cfg.plan_cache {
-        PlanCachePolicy::Shared => {
-            let plan = cache::cached_trmm_plan::<E>(dims, mode, conj, b.count(), cfg)?;
-            run_trmm(&plan, alpha, a, b)
-        }
-        PlanCachePolicy::Bypass => {
-            cache::note_bypass();
-            let plan = TrmmPlan::<E>::new(dims, mode, conj, b.count(), cfg)?;
-            run_trmm(&plan, alpha, a, b)
-        }
-    }
+    let plan = cache::cached_tri_plan::<E, O>(dims, mode, conj, b.count(), cfg)?;
+    plan.execute_with(plan.use_parallel(), alpha, a, b)
 }
 
 /// Convenience: GEMM on standard column-major batches, converting to the

@@ -30,9 +30,11 @@
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
-use crate::config::{BatchPolicy, PackPolicy, PlanCachePolicy, TunePolicy, TuningConfig};
+use crate::config::{BatchPolicy, PackPolicy, TunePolicy, TuningConfig};
 use crate::elem::CompactElement;
-use crate::plan::{cache, GemmPlan, TrmmPlan, TrsmPlan};
+use crate::plan::gemm::OperandPlan;
+use crate::plan::tri::{Multiply, Solve, TriOp, TriPlan};
+use crate::plan::{cache, GemmPlan};
 use iatf_layout::{CompactBatch, GemmDims, GemmMode, TrsmDims, TrsmMode};
 use iatf_obs as obs;
 use iatf_simd::{Real, VecWidth};
@@ -42,10 +44,8 @@ use iatf_tune::{sweep, SweepReport, TuneKey, TuneOp, TunedEntry, TuningDb};
 /// Overrides a tuned entry imposes on one planner invocation.
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct TunedDecision {
-    /// Pack Selecter override (`None` never occurs today — the entry
-    /// always records the winner's policy — but planners treat `None` as
-    /// "keep the config's policy" for forward compatibility).
-    pub pack: Option<PackPolicy>,
+    /// Pack Selecter override: the winner's policy.
+    pub pack: PackPolicy,
     /// Batch Counter override; `None` keeps the heuristic L1-model size.
     pub group_packs: Option<usize>,
     /// Serial→parallel crossover: whether parallel execution measured
@@ -55,27 +55,18 @@ pub(crate) struct TunedDecision {
 
 fn decision_from(entry: TunedEntry) -> TunedDecision {
     TunedDecision {
-        pack: Some(policy_from_code(entry.pack)),
+        // Entries store `PackPolicy as u8`. Any other code decodes as
+        // `Auto` — among them 2, the retired `Never`, which planned the
+        // sizes a sweep measures exactly like `Auto`.
+        pack: if entry.pack == PackPolicy::Always as u8 {
+            PackPolicy::Always
+        } else {
+            PackPolicy::Auto
+        },
         group_packs: usize::try_from(entry.group_packs)
             .ok()
             .filter(|&gp| gp > 0),
         parallel: entry.parallel,
-    }
-}
-
-fn pack_code(policy: PackPolicy) -> u8 {
-    match policy {
-        PackPolicy::Auto => 0,
-        PackPolicy::Always => 1,
-        PackPolicy::Never => 2,
-    }
-}
-
-fn policy_from_code(code: u8) -> PackPolicy {
-    match code {
-        1 => PackPolicy::Always,
-        2 => PackPolicy::Never,
-        _ => PackPolicy::Auto,
     }
 }
 
@@ -106,8 +97,8 @@ pub fn gemm_tune_key<E: CompactElement>(
     }
 }
 
-/// The db key for a TRSM input.
-pub fn trsm_tune_key<E: CompactElement>(
+/// The db key for a triangular input of op `O`.
+pub(crate) fn tri_tune_key<E: CompactElement, O: TriOp<E>>(
     dims: TrsmDims,
     mode: TrsmMode,
     conj: bool,
@@ -115,7 +106,7 @@ pub fn trsm_tune_key<E: CompactElement>(
     width: VecWidth,
 ) -> TuneKey {
     TuneKey {
-        op: TuneOp::Trsm,
+        op: O::TUNE,
         dtype: E::DTYPE as u8,
         m: dim32(dims.m),
         n: dim32(dims.n),
@@ -127,6 +118,17 @@ pub fn trsm_tune_key<E: CompactElement>(
     }
 }
 
+/// The db key for a TRSM input.
+pub fn trsm_tune_key<E: CompactElement>(
+    dims: TrsmDims,
+    mode: TrsmMode,
+    conj: bool,
+    count: usize,
+    width: VecWidth,
+) -> TuneKey {
+    tri_tune_key::<E, Solve>(dims, mode, conj, count, width)
+}
+
 /// The db key for a TRMM input.
 pub fn trmm_tune_key<E: CompactElement>(
     dims: TrsmDims,
@@ -135,17 +137,16 @@ pub fn trmm_tune_key<E: CompactElement>(
     count: usize,
     width: VecWidth,
 ) -> TuneKey {
-    TuneKey {
-        op: TuneOp::Trmm,
-        ..trsm_tune_key::<E>(dims, mode, conj, count, width)
-    }
+    tri_tune_key::<E, Multiply>(dims, mode, conj, count, width)
 }
 
-fn consult(key: &TuneKey, cfg: &TuningConfig) -> Option<TunedDecision> {
+/// The db's decision for the input `key` names, if `cfg` consults the db
+/// (under `Heuristic` the key is not even built).
+fn consult(cfg: &TuningConfig, key: impl FnOnce() -> TuneKey) -> Option<TunedDecision> {
     if matches!(cfg.tune, TunePolicy::Heuristic) {
         return None;
     }
-    match TuningDb::global().lookup(key) {
+    match TuningDb::global().lookup(&key()) {
         Some(entry) => {
             obs::count_tune(obs::TuneEvent::Apply);
             Some(decision_from(entry))
@@ -165,39 +166,17 @@ pub(crate) fn lookup_gemm<E: CompactElement>(
     count: usize,
     cfg: &TuningConfig,
 ) -> Option<TunedDecision> {
-    if matches!(cfg.tune, TunePolicy::Heuristic) {
-        return None; // fast path: skip even key construction
-    }
-    consult(
-        &gemm_tune_key::<E>(dims, mode, conj_a, conj_b, count, cfg.width),
-        cfg,
-    )
+    consult(cfg, || gemm_tune_key::<E>(dims, mode, conj_a, conj_b, count, cfg.width))
 }
 
-pub(crate) fn lookup_trsm<E: CompactElement>(
+pub(crate) fn lookup_tri<E: CompactElement, O: TriOp<E>>(
     dims: TrsmDims,
     mode: TrsmMode,
     conj: bool,
     count: usize,
     cfg: &TuningConfig,
 ) -> Option<TunedDecision> {
-    if matches!(cfg.tune, TunePolicy::Heuristic) {
-        return None;
-    }
-    consult(&trsm_tune_key::<E>(dims, mode, conj, count, cfg.width), cfg)
-}
-
-pub(crate) fn lookup_trmm<E: CompactElement>(
-    dims: TrsmDims,
-    mode: TrsmMode,
-    conj: bool,
-    count: usize,
-    cfg: &TuningConfig,
-) -> Option<TunedDecision> {
-    if matches!(cfg.tune, TunePolicy::Heuristic) {
-        return None;
-    }
-    consult(&trmm_tune_key::<E>(dims, mode, conj, count, cfg.width), cfg)
+    consult(cfg, || tri_tune_key::<E, O>(dims, mode, conj, count, cfg.width))
 }
 
 /// One sweep candidate: a fully built plan plus the metadata that becomes
@@ -261,21 +240,22 @@ fn identity<E: CompactElement>(q: usize, count: usize, width: VecWidth) -> Compa
 
 /// The configurations a first-touch sweep from `cfg` races, heuristic
 /// first, given the heuristic plan's super-block size `gp0`. Candidate 0
-/// is `cfg` itself, planned heuristically with the plan cache bypassed;
-/// each other candidate varies one decision:
+/// is `cfg` itself, planned heuristically; each other candidate varies one
+/// decision:
 ///
-/// * the pack policy, except `Always` under an `Auto` base: where `Auto`
-///   streams an operand, `Always` does the same kernel work plus the pack
-///   traffic, and above the direct bound `Auto` packs already;
+/// * the pack policy, from an `Always` base only: where `Auto` streams an
+///   operand, `Always` does the same kernel work plus the pack traffic,
+///   and above the direct bound `Auto` packs already, so an `Auto` base
+///   never races `Always`;
 /// * the super-block size, pinned at `gp0/4`, `gp0/2` and `2·gp0` (at
 ///   least 1, each size once). This is also the only way the L1 budget
 ///   fraction reaches a plan, so it is not varied separately.
 pub fn sweep_configs(cfg: &TuningConfig, gp0: usize) -> Vec<TuningConfig> {
     let base = heuristic_config(cfg);
-    let packs = [PackPolicy::Auto, PackPolicy::Always, PackPolicy::Never]
-        .into_iter()
-        .filter(|&p| p != base.pack && (base.pack, p) != (PackPolicy::Auto, PackPolicy::Always))
-        .map(|pack| TuningConfig { pack, ..base.clone() });
+    let packs = (base.pack == PackPolicy::Always).then(|| TuningConfig {
+        pack: PackPolicy::Auto,
+        ..base.clone()
+    });
     let mut sizes: Vec<usize> = Vec::new();
     for gp in [gp0 / 4, gp0 / 2, gp0 * 2].map(|gp| gp.max(1)) {
         if gp != gp0 && !sizes.contains(&gp) {
@@ -290,45 +270,44 @@ pub fn sweep_configs(cfg: &TuningConfig, gp0: usize) -> Vec<TuningConfig> {
 }
 
 /// Candidate 0's configuration: `cfg` planned heuristically, so tuning
-/// never recurses into itself, with the plan cache bypassed.
+/// never recurses into itself.
 fn heuristic_config(cfg: &TuningConfig) -> TuningConfig {
     TuningConfig {
         tune: TunePolicy::Heuristic,
-        plan_cache: PlanCachePolicy::Bypass,
         ..cfg.clone()
     }
 }
 
-/// What a sweep's plan builder returns: the candidate plan, a dedupe
-/// signature (the plan decisions that affect execution), and the plan's
-/// super-block size.
-type BuiltCandidate<P, S> = Option<(P, S, usize)>;
+/// The plan decisions that affect execution — A access, B access and the
+/// super-block size; candidates that agree on them are timed once.
+type Signature = (OperandPlan, OperandPlan, usize);
 
 /// Builds and deduplicates the candidate plans of [`sweep_configs`] for
 /// one sweep. Candidate 0 is always the heuristic baseline.
-fn enumerate_candidates<P, S: PartialEq>(
+fn enumerate_candidates<P>(
     cfg: &TuningConfig,
-    build: &dyn Fn(&TuningConfig) -> BuiltCandidate<P, S>,
+    build: &dyn Fn(&TuningConfig) -> Option<(P, Signature)>,
 ) -> Vec<Candidate<P>> {
     let heuristic = heuristic_config(cfg);
-    let Some((plan, sig, gp0)) = build(&heuristic) else {
+    let Some((plan, sig)) = build(&heuristic) else {
         return Vec::new();
     };
+    let gp0 = sig.2;
     let mut out = vec![Candidate {
         plan,
-        pack_code: pack_code(heuristic.pack),
+        pack_code: heuristic.pack as u8,
         group_packs: gp0,
         records_gp: false,
     }];
     let mut sigs = vec![sig];
     for ccfg in sweep_configs(cfg, gp0).into_iter().skip(1) {
-        if let Some((plan, sig, gp)) = build(&ccfg) {
+        if let Some((plan, sig)) = build(&ccfg) {
             if !sigs.contains(&sig) {
                 sigs.push(sig);
                 out.push(Candidate {
                     plan,
-                    pack_code: pack_code(ccfg.pack),
-                    group_packs: gp,
+                    pack_code: ccfg.pack as u8,
+                    group_packs: sig.2,
                     records_gp: ccfg.batch != heuristic.batch,
                 });
             }
@@ -444,28 +423,60 @@ fn journal_sweep_outcome<P>(
     }
 }
 
-/// Drift remediation for a GEMM input: if the watch layer flagged this
-/// key, evict its stale tuning-db entry — bumping the db generation,
-/// which invalidates every cached plan keyed on it — re-sweep within the
-/// watch retune budget (`IATF_WATCH_RETUNE_MS`), and hand the fresh
-/// measurement back so the drift chart re-arms. Compiles to nothing
-/// unless the `watch` feature is on; never runs under the `Heuristic`
-/// policy (there is no db entry to refresh).
-pub fn maybe_retune_gemm<E: CompactElement>(
-    dims: GemmDims,
-    mode: GemmMode,
-    conj_a: bool,
-    conj_b: bool,
-    count: usize,
+/// The measured half of every sweep, once its candidates and operands
+/// exist: times the candidates against each other, races the winner
+/// serial vs parallel (with the `parallel` feature), then journals and
+/// records the winner. `exec(plan, parallel)` runs one plan on the sweep's
+/// operands; `started` is when the caller's first call began paying.
+#[allow(clippy::too_many_arguments)]
+fn race<P>(
+    db: &TuningDb,
+    key: TuneKey,
     cfg: &TuningConfig,
+    budget_ms: u64,
+    started: Instant,
+    cands: &[Candidate<P>],
+    flops: f64,
+    exec: impl Fn(&P, bool),
 ) {
-    if !iatf_watch::is_enabled() || matches!(cfg.tune, TunePolicy::Heuristic) {
-        return;
+    let total = Duration::from_millis(budget_ms.max(1));
+    let jsweep = journal_sweep_start(&key, budget_ms, cands.len());
+    let exec = &exec;
+    let report = {
+        let mut runners: Vec<Box<dyn FnMut() + '_>> = cands
+            .iter()
+            .map(|cand| Box::new(move || exec(&cand.plan, false)) as Box<dyn FnMut() + '_>)
+            .collect();
+        sweep(total.saturating_sub(started.elapsed()), &mut runners)
+    };
+    let winner = &cands[report.winner];
+    let parallel = cfg!(feature = "parallel") && {
+        let mut runners: Vec<Box<dyn FnMut() + '_>> = vec![
+            Box::new(|| exec(&winner.plan, false)),
+            Box::new(|| exec(&winner.plan, true)),
+        ];
+        sweep(total.saturating_sub(started.elapsed()), &mut runners).winner == 1
+    };
+    let provenance = journal_sweep_outcome(&key, cfg.width, cands, &report, parallel, flops, jsweep);
+    record_winner(db, key, cfg, winner, &report, flops, parallel, provenance);
+}
+
+/// First touch for any op: sweeps through `sweep` when the db has no entry
+/// for `key` yet. Returns whether one exists afterwards.
+fn ensure(key: TuneKey, sweep: impl FnOnce(&TuningDb)) -> bool {
+    let db = TuningDb::global();
+    if db.lookup(&key).is_none() {
+        sweep(db);
     }
-    if dims.validate().is_err() || count == 0 {
-        return;
-    }
-    let key = gemm_tune_key::<E>(dims, mode, conj_a, conj_b, count, cfg.width);
+    db.lookup(&key).is_some()
+}
+
+/// Drift remediation for any op: if the watch layer flagged `key`, evict
+/// its stale tuning-db entry — bumping the db generation, which
+/// invalidates every cached plan keyed on it — re-sweep through `resweep`
+/// within the watch retune budget (`IATF_WATCH_RETUNE_MS`), and hand the
+/// fresh measurement back so the drift chart re-arms.
+fn retune(key: TuneKey, resweep: impl FnOnce(&TuningDb, u64)) {
     let Some(drift_event) = iatf_watch::take_retune_cause(&key) else {
         return;
     };
@@ -475,8 +486,7 @@ pub fn maybe_retune_gemm<E: CompactElement>(
     let _cause = iatf_journal::cause_scope(drift_event);
     let db = TuningDb::global();
     db.remove(&key);
-    let budget = iatf_watch::retune_budget_ms();
-    sweep_gemm::<E>(db, key, dims, mode, conj_a, conj_b, count, budget, cfg);
+    resweep(db, iatf_watch::retune_budget_ms());
     let outcome = db.lookup(&key);
     journal_retune(&key, drift_event, outcome.as_ref());
     match outcome {
@@ -502,6 +512,29 @@ fn journal_retune(key: &TuneKey, drift_event: u64, outcome: Option<&TunedEntry>)
     );
 }
 
+/// Drift remediation for a GEMM input ([`retune`]). Compiles to nothing
+/// unless the `watch` feature is on; never runs under the `Heuristic`
+/// policy (there is no db entry to refresh).
+pub fn maybe_retune_gemm<E: CompactElement>(
+    dims: GemmDims,
+    mode: GemmMode,
+    conj_a: bool,
+    conj_b: bool,
+    count: usize,
+    cfg: &TuningConfig,
+) {
+    if !iatf_watch::is_enabled() || matches!(cfg.tune, TunePolicy::Heuristic) {
+        return;
+    }
+    if dims.validate().is_err() || count == 0 {
+        return;
+    }
+    let key = gemm_tune_key::<E>(dims, mode, conj_a, conj_b, count, cfg.width);
+    retune(key, |db, budget| {
+        sweep_gemm::<E>(db, key, dims, mode, conj_a, conj_b, count, budget, cfg);
+    });
+}
+
 /// Runs the first-touch sweep for a GEMM input if `cfg.tune` asks for one
 /// and the db has no entry yet. Returns whether a tuned entry exists for
 /// the key afterwards. The one-shot API calls this before planning; the
@@ -521,11 +554,9 @@ pub fn ensure_tuned_gemm<E: CompactElement>(
         return false;
     }
     let key = gemm_tune_key::<E>(dims, mode, conj_a, conj_b, count, cfg.width);
-    let db = TuningDb::global();
-    if db.lookup(&key).is_none() {
+    ensure(key, |db| {
         sweep_gemm::<E>(db, key, dims, mode, conj_a, conj_b, count, budget_ms, cfg);
-    }
-    db.lookup(&key).is_some()
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -546,23 +577,17 @@ fn sweep_gemm<E: CompactElement>(
     // built: the caller's first call pays for those too, so they are
     // charged to the budget and the timed rounds get what is left.
     let started = Instant::now();
-    let total = Duration::from_millis(budget_ms.max(1));
     let scalar = core::mem::size_of::<E>();
     let per_matrix = (dims.m * dims.k + dims.k * dims.n + dims.m * dims.n) * scalar;
     let mcount = measure_count(per_matrix, count);
     let cands = enumerate_candidates(cfg, &|c: &TuningConfig| {
-        GemmPlan::<E>::new(dims, mode, conj_a, conj_b, mcount, c)
-            .ok()
-            .map(|p| {
-                let sig = (p.a_plan, p.b_plan, p.group_packs);
-                let gp = p.group_packs;
-                (p, sig, gp)
-            })
+        let p = GemmPlan::<E>::new(dims, mode, conj_a, conj_b, mcount, c).ok()?;
+        let sig = (p.a_plan, p.b_plan, p.group_packs);
+        Some((p, sig))
     });
     if cands.is_empty() {
         return;
     }
-    let jsweep = journal_sweep_start(&key, budget_ms, cands.len());
     let (ar, ac) = dims.a_shape(mode);
     let (br, bc) = dims.b_shape(mode);
     let a = synthetic::<E>(ar, ac, mcount, cfg.width);
@@ -571,189 +596,134 @@ fn sweep_gemm<E: CompactElement>(
     // β = 0 overwrites C every invocation, so repeated timing reps cannot
     // accumulate (values stay bounded by the synthetic inputs).
     let (alpha, beta) = (E::one(), E::zero());
-    let report = {
-        let mut runners: Vec<Box<dyn FnMut() + '_>> = cands
-            .iter()
-            .map(|cand| {
-                let (a, b, c) = (&a, &b, &c);
-                Box::new(move || {
-                    let _ = cand.plan.execute(alpha, a, b, beta, &mut c.borrow_mut());
-                }) as Box<dyn FnMut() + '_>
-            })
-            .collect();
-        sweep(total.saturating_sub(started.elapsed()), &mut runners)
-    };
-    let winner = &cands[report.winner];
-    #[cfg(not(feature = "parallel"))]
-    let parallel = false;
-    #[cfg(feature = "parallel")]
-    let parallel = {
-        let mut runners: Vec<Box<dyn FnMut() + '_>> = vec![
-            Box::new(|| {
-                let _ = winner.plan.execute(alpha, &a, &b, beta, &mut c.borrow_mut());
-            }),
-            Box::new(|| {
-                let _ = winner
-                    .plan
-                    .execute_parallel(alpha, &a, &b, beta, &mut c.borrow_mut());
-            }),
-        ];
-        sweep(total.saturating_sub(started.elapsed()), &mut runners).winner == 1
-    };
     let flops = E::DTYPE.flops_per_mac() as f64 * dims.macs() as f64 * mcount as f64;
-    let provenance = journal_sweep_outcome(&key, cfg.width, &cands, &report, parallel, flops, jsweep);
-    record_winner(db, key, cfg, winner, &report, flops, parallel, provenance);
+    race(db, key, cfg, budget_ms, started, &cands, flops, |p, parallel| {
+        let _ = p.execute_with(parallel, alpha, &a, &b, beta, &mut c.borrow_mut());
+    });
 }
 
-macro_rules! triangular_tuner {
-    ($ensure:ident, $retune:ident, $sweepfn:ident, $plan:ident, $keyfn:ident, $ensure_doc:literal) => {
-        /// Drift remediation twin of [`maybe_retune_gemm`] for this
-        /// triangular op: evict-and-resweep when the watch layer flagged
-        /// the key.
-        pub fn $retune<E: CompactElement>(
-            dims: TrsmDims,
-            mode: TrsmMode,
-            conj: bool,
-            count: usize,
-            cfg: &TuningConfig,
-        ) {
-            if !iatf_watch::is_enabled() || matches!(cfg.tune, TunePolicy::Heuristic) {
-                return;
-            }
-            if dims.validate().is_err() || count == 0 {
-                return;
-            }
-            let key = $keyfn::<E>(dims, mode, conj, count, cfg.width);
-            let Some(drift_event) = iatf_watch::take_retune_cause(&key) else {
-                return;
-            };
-            obs::count_tune(obs::TuneEvent::Retune);
-            // Journal the whole remediation under the triggering drift.
-            let _cause = iatf_journal::cause_scope(drift_event);
-            let db = TuningDb::global();
-            db.remove(&key);
-            let budget = iatf_watch::retune_budget_ms();
-            $sweepfn::<E>(db, key, dims, mode, conj, count, budget, cfg);
-            let outcome = db.lookup(&key);
-            journal_retune(&key, drift_event, outcome.as_ref());
-            match outcome {
-                Some(entry) => iatf_watch::note_retuned(&key, entry.tuned_gflops, entry.noise),
-                None => iatf_watch::note_retuned(&key, 0.0, 0.0),
-            }
-        }
+/// Drift remediation for a triangular input of op `O` ([`retune`]).
+pub(crate) fn maybe_retune_tri<E: CompactElement, O: TriOp<E>>(
+    dims: TrsmDims,
+    mode: TrsmMode,
+    conj: bool,
+    count: usize,
+    cfg: &TuningConfig,
+) {
+    if !iatf_watch::is_enabled() || matches!(cfg.tune, TunePolicy::Heuristic) {
+        return;
+    }
+    if dims.validate().is_err() || count == 0 {
+        return;
+    }
+    let key = tri_tune_key::<E, O>(dims, mode, conj, count, cfg.width);
+    retune(key, |db, budget| {
+        sweep_tri::<E, O>(db, key, dims, mode, conj, count, budget, cfg);
+    });
+}
 
-        #[doc = $ensure_doc]
-        /// and the db has no entry yet. Returns whether a tuned entry
-        /// exists for the key afterwards.
-        pub fn $ensure<E: CompactElement>(
-            dims: TrsmDims,
-            mode: TrsmMode,
-            conj: bool,
-            count: usize,
-            cfg: &TuningConfig,
-        ) -> bool {
-            let TunePolicy::FirstTouch(budget_ms) = cfg.tune else {
-                return false;
-            };
-            if dims.validate().is_err() || count == 0 {
-                return false;
-            }
-            let key = $keyfn::<E>(dims, mode, conj, count, cfg.width);
-            let db = TuningDb::global();
-            if db.lookup(&key).is_none() {
-                $sweepfn::<E>(db, key, dims, mode, conj, count, budget_ms, cfg);
-            }
-            db.lookup(&key).is_some()
-        }
+/// Drift remediation for a TRSM input (see [`maybe_retune_gemm`]).
+pub fn maybe_retune_trsm<E: CompactElement>(
+    dims: TrsmDims,
+    mode: TrsmMode,
+    conj: bool,
+    count: usize,
+    cfg: &TuningConfig,
+) {
+    maybe_retune_tri::<E, Solve>(dims, mode, conj, count, cfg);
+}
 
-        #[allow(clippy::too_many_arguments)]
-        fn $sweepfn<E: CompactElement>(
-            db: &TuningDb,
-            key: TuneKey,
-            dims: TrsmDims,
-            mode: TrsmMode,
-            conj: bool,
-            count: usize,
-            budget_ms: u64,
-            cfg: &TuningConfig,
-        ) {
-            obs::count_tune(obs::TuneEvent::Sweep);
-            let _trace = trace::span_arg(trace::SpanKind::TuneSweep, count as u64);
-            let started = Instant::now(); // as in `sweep_gemm`
-            let total = Duration::from_millis(budget_ms.max(1));
-            let q = dims.triangle_order(mode);
-            let scalar = core::mem::size_of::<E>();
-            let per_matrix = (q * q + dims.m * dims.n) * scalar;
-            let mcount = measure_count(per_matrix, count);
-            let cands = enumerate_candidates(cfg, &|c: &TuningConfig| {
-                $plan::<E>::new(dims, mode, conj, mcount, c).ok().map(|p| {
-                    let sig = (p.a_plan, p.b_plan, p.group_packs);
-                    let gp = p.group_packs;
-                    (p, sig, gp)
-                })
-            });
-            if cands.is_empty() {
-                return;
-            }
-            let jsweep = journal_sweep_start(&key, budget_ms, cands.len());
-            // Identity A makes the repeated in-place solve/multiply a
-            // bitwise fixed point: X = 1·B every rep, no drift, no
-            // overflow, regardless of how many timing iterations run.
-            let a = identity::<E>(q, mcount, cfg.width);
-            let b = RefCell::new(synthetic::<E>(dims.m, dims.n, mcount, cfg.width));
-            let alpha = E::one();
-            let report = {
-                let mut runners: Vec<Box<dyn FnMut() + '_>> = cands
-                    .iter()
-                    .map(|cand| {
-                        let (a, b) = (&a, &b);
-                        Box::new(move || {
-                            let _ = cand.plan.execute(alpha, a, &mut b.borrow_mut());
-                        }) as Box<dyn FnMut() + '_>
-                    })
-                    .collect();
-                sweep(total.saturating_sub(started.elapsed()), &mut runners)
-            };
-            let winner = &cands[report.winner];
-            #[cfg(not(feature = "parallel"))]
-            let parallel = false;
-            #[cfg(feature = "parallel")]
-            let parallel = {
-                let mut runners: Vec<Box<dyn FnMut() + '_>> = vec![
-                    Box::new(|| {
-                        let _ = winner.plan.execute(alpha, &a, &mut b.borrow_mut());
-                    }),
-                    Box::new(|| {
-                        let _ = winner.plan.execute_parallel(alpha, &a, &mut b.borrow_mut());
-                    }),
-                ];
-                sweep(total.saturating_sub(started.elapsed()), &mut runners).winner == 1
-            };
-            let flops = E::DTYPE.flops_per_mac() as f64 * dims.macs(mode) as f64 * mcount as f64;
-            let provenance =
-                journal_sweep_outcome(&key, cfg.width, &cands, &report, parallel, flops, jsweep);
-            record_winner(db, key, cfg, winner, &report, flops, parallel, provenance);
-        }
+/// Drift remediation for a TRMM input (see [`maybe_retune_gemm`]).
+pub fn maybe_retune_trmm<E: CompactElement>(
+    dims: TrsmDims,
+    mode: TrsmMode,
+    conj: bool,
+    count: usize,
+    cfg: &TuningConfig,
+) {
+    maybe_retune_tri::<E, Multiply>(dims, mode, conj, count, cfg);
+}
+
+/// First-touch tuning for a triangular input of op `O` (see
+/// [`ensure_tuned_gemm`]).
+pub(crate) fn ensure_tuned_tri<E: CompactElement, O: TriOp<E>>(
+    dims: TrsmDims,
+    mode: TrsmMode,
+    conj: bool,
+    count: usize,
+    cfg: &TuningConfig,
+) -> bool {
+    let TunePolicy::FirstTouch(budget_ms) = cfg.tune else {
+        return false;
     };
+    if dims.validate().is_err() || count == 0 {
+        return false;
+    }
+    let key = tri_tune_key::<E, O>(dims, mode, conj, count, cfg.width);
+    ensure(key, |db| {
+        sweep_tri::<E, O>(db, key, dims, mode, conj, count, budget_ms, cfg);
+    })
 }
 
-triangular_tuner!(
-    ensure_tuned_trsm,
-    maybe_retune_trsm,
-    sweep_trsm,
-    TrsmPlan,
-    trsm_tune_key,
-    "Runs the first-touch sweep for a TRSM input if `cfg.tune` asks for one"
-);
+/// Runs the first-touch sweep for a TRSM input if `cfg.tune` asks for one
+/// and the db has no entry yet (see [`ensure_tuned_gemm`]).
+pub fn ensure_tuned_trsm<E: CompactElement>(
+    dims: TrsmDims,
+    mode: TrsmMode,
+    conj: bool,
+    count: usize,
+    cfg: &TuningConfig,
+) -> bool {
+    ensure_tuned_tri::<E, Solve>(dims, mode, conj, count, cfg)
+}
 
-triangular_tuner!(
-    ensure_tuned_trmm,
-    maybe_retune_trmm,
-    sweep_trmm,
-    TrmmPlan,
-    trmm_tune_key,
-    "Runs the first-touch sweep for a TRMM input if `cfg.tune` asks for one"
-);
+/// Runs the first-touch sweep for a TRMM input if `cfg.tune` asks for one
+/// and the db has no entry yet (see [`ensure_tuned_gemm`]).
+pub fn ensure_tuned_trmm<E: CompactElement>(
+    dims: TrsmDims,
+    mode: TrsmMode,
+    conj: bool,
+    count: usize,
+    cfg: &TuningConfig,
+) -> bool {
+    ensure_tuned_tri::<E, Multiply>(dims, mode, conj, count, cfg)
+}
+
+#[allow(clippy::too_many_arguments)]
+fn sweep_tri<E: CompactElement, O: TriOp<E>>(
+    db: &TuningDb,
+    key: TuneKey,
+    dims: TrsmDims,
+    mode: TrsmMode,
+    conj: bool,
+    count: usize,
+    budget_ms: u64,
+    cfg: &TuningConfig,
+) {
+    obs::count_tune(obs::TuneEvent::Sweep);
+    let _trace = trace::span_arg(trace::SpanKind::TuneSweep, count as u64);
+    let started = Instant::now(); // as in `sweep_gemm`
+    let q = dims.triangle_order(mode);
+    let per_matrix = (q * q + dims.m * dims.n) * core::mem::size_of::<E>();
+    let mcount = measure_count(per_matrix, count);
+    let cands = enumerate_candidates(cfg, &|c: &TuningConfig| {
+        let p = TriPlan::<E, O>::new(dims, mode, conj, mcount, c).ok()?;
+        let sig = (p.a_plan, p.b_plan, p.group_packs);
+        Some((p, sig))
+    });
+    if cands.is_empty() {
+        return;
+    }
+    // Identity A makes the repeated in-place solve/multiply a bitwise
+    // fixed point: X = 1·B every rep, no drift, no overflow, regardless
+    // of how many timing iterations run.
+    let a = identity::<E>(q, mcount, cfg.width);
+    let b = RefCell::new(synthetic::<E>(dims.m, dims.n, mcount, cfg.width));
+    let flops = E::DTYPE.flops_per_mac() as f64 * dims.macs(mode) as f64 * mcount as f64;
+    race(db, key, cfg, budget_ms, started, &cands, flops, |p, parallel| {
+        let _ = p.execute_with(parallel, E::one(), &a, &mut b.borrow_mut());
+    });
+}
 
 #[cfg(test)]
 mod tests {
@@ -859,34 +829,31 @@ mod tests {
         }
     }
 
-    #[test]
-    fn entry_decisions_round_trip() {
-        let d = decision_from(TunedEntry {
-            pack: 2,
-            group_packs: 16,
+    fn entry(pack: u8, group_packs: u64, parallel: bool) -> TunedEntry {
+        TunedEntry {
+            pack,
+            group_packs,
             l1_fraction: 0.5,
-            parallel: true,
+            parallel,
             tuned_gflops: 1.0,
             heuristic_gflops: 1.0,
             noise: 0.0,
             provenance: Default::default(),
-        });
-        assert_eq!(d.pack, Some(PackPolicy::Never));
+        }
+    }
+
+    #[test]
+    fn entry_decisions_round_trip() {
+        let d = decision_from(entry(PackPolicy::Always as u8, 16, true));
+        assert_eq!(d.pack, PackPolicy::Always);
         assert_eq!(d.group_packs, Some(16));
         assert!(d.parallel);
         // group_packs == 0 means "keep the heuristic".
-        let d = decision_from(TunedEntry {
-            pack: 0,
-            group_packs: 0,
-            l1_fraction: 0.5,
-            parallel: false,
-            tuned_gflops: 1.0,
-            heuristic_gflops: 1.0,
-            noise: 0.0,
-            provenance: Default::default(),
-        });
-        assert_eq!(d.pack, Some(PackPolicy::Auto));
+        let d = decision_from(entry(PackPolicy::Auto as u8, 0, false));
+        assert_eq!(d.pack, PackPolicy::Auto);
         assert_eq!(d.group_packs, None);
         assert!(!d.parallel);
+        // 2, the retired `Never`, plans like `Auto`
+        assert_eq!(decision_from(entry(2, 0, false)).pack, PackPolicy::Auto);
     }
 }

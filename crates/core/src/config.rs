@@ -11,18 +11,14 @@ pub enum PackPolicy {
     /// non-conjugated operand through its native strides while one pack of
     /// it fits a quarter of L2 and falls back to the paper's `m > m_r` /
     /// `n > n_r` rule above that; TRSM/TRMM solve or multiply B in place in
-    /// every mode, read A's rectangular strips in place, and pack only the
-    /// diagonal blocks' triangles. Conjugated operands pack, since
-    /// conjugation cannot be expressed as a stride.
+    /// every mode, read A's strips and triangles in place, and pack only
+    /// the diagonal groups. Conjugated operands pack, since conjugation
+    /// cannot be expressed as a stride.
     #[default]
     Auto,
     /// Always pack everything (ablation: isolates the cost of packing; the
     /// bitwise reference the in-place paths are tested against).
     Always,
-    /// Never pack where structurally possible, whatever the size
-    /// (ablation: isolates the cost of strided kernel access). Differs from
-    /// `Auto` only for GEMM operands beyond the L2 bound.
-    Never,
 }
 
 /// Super-block sizing policy for the Batch Counter.
@@ -33,19 +29,6 @@ pub enum BatchPolicy {
     Auto,
     /// Fixed number of packs per super-block (ablation).
     Fixed(usize),
-}
-
-/// Whether one-shot entry points may share plans through the global cache.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum PlanCachePolicy {
-    /// Consult the process-wide plan cache: same-shape traffic reuses the
-    /// plan built by the first call (the paper's "only generates this
-    /// execution plan at the beginning", extended across calls).
-    #[default]
-    Shared,
-    /// Build a fresh plan on every call — for callers that manage their own
-    /// plans, or measurements that must include planning cost.
-    Bypass,
 }
 
 /// How the run-time stage uses the empirical tuning database
@@ -91,8 +74,6 @@ pub struct TuningConfig {
     pub pack: PackPolicy,
     /// Super-block sizing policy.
     pub batch: BatchPolicy,
-    /// Plan-cache policy for the one-shot entry points.
-    pub plan_cache: PlanCachePolicy,
     /// Empirical-autotuner policy (see [`TunePolicy`]).
     pub tune: TunePolicy,
 }
@@ -106,7 +87,6 @@ impl TuningConfig {
             l1_budget_fraction: 0.5,
             pack: PackPolicy::Auto,
             batch: BatchPolicy::Auto,
-            plan_cache: PlanCachePolicy::Shared,
             tune: TunePolicy::Heuristic,
         }
     }
@@ -123,8 +103,7 @@ impl TuningConfig {
 
     /// Hash of every field that influences plan construction — part of the
     /// plan-cache key, so configs that would plan differently never share a
-    /// cached plan. The cache policy itself is deliberately excluded (it
-    /// changes where a plan lives, not what it contains).
+    /// cached plan.
     ///
     /// Computed on every one-shot call, so it uses the cheap process-local
     /// mixer ([`fx_mix`]) rather than `SipHash` — the value never leaves

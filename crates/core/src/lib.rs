@@ -12,10 +12,10 @@
 //!   kernels in `iatf-pack`, and the assembly-generation model (templates,
 //!   scheduling optimizer, pipeline model) in `iatf-codegen`. The
 //!   [`analysis`] module derives the CMAR-optimal kernel sizes (Eqs. 2–3).
-//! * **Run-time stage** — [`plan::GemmPlan`]/[`plan::TrsmPlan`] implement
-//!   the Batch Counter, Pack Selecter, and Execution Plan Generator (§5),
-//!   keyed on the input matrix properties (size, transpose, side, uplo,
-//!   diag) and the machine's L1 capacity.
+//! * **Run-time stage** — [`plan::GemmPlan`] and [`plan::TriPlan`]
+//!   (TRSM/TRMM) implement the Batch Counter, Pack Selecter, and Execution
+//!   Plan Generator (§5), keyed on the input matrix properties (size,
+//!   transpose, side, uplo, diag) and the machine's L1 capacity.
 //!
 //! ## Quick start
 //!
@@ -80,7 +80,7 @@ pub use autotune::{
     ensure_tuned_gemm, ensure_tuned_trmm, ensure_tuned_trsm, gemm_tune_key, maybe_retune_gemm,
     maybe_retune_trmm, maybe_retune_trsm, trmm_tune_key, trsm_tune_key,
 };
-pub use config::{BatchPolicy, PackPolicy, PlanCachePolicy, TunePolicy, TuningConfig};
+pub use config::{BatchPolicy, PackPolicy, TunePolicy, TuningConfig};
 pub use elem::CompactElement;
 pub use machine::{host_profile, MachineProfile, KUNPENG_920, XEON_6240};
 pub use plan::{Command, GemmPlan, PlanCacheStats, TrmmPlan, TrsmPlan};

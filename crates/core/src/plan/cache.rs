@@ -26,12 +26,12 @@
 //! [`clear`] bumps a global epoch that invalidates every thread's front
 //! cache on its next lookup.
 //!
-//! Callers that manage plan lifetimes themselves set
-//! [`PlanCachePolicy::Bypass`](crate::config::PlanCachePolicy) (or build
-//! plans directly) and never touch the cache.
+//! Callers that manage plan lifetimes themselves build plans directly and
+//! never touch the cache.
 
 use crate::config::{fx_mix, TuningConfig};
 use crate::elem::CompactElement;
+use crate::plan::tri::{Multiply, Solve, TriOp, TriPlan};
 use crate::plan::{GemmPlan, TrmmPlan, TrsmPlan};
 use crate::sync::{AtomicU64, Ordering::Relaxed};
 use iatf_layout::{GemmDims, GemmMode, LayoutError, TrsmDims, TrsmMode};
@@ -118,7 +118,6 @@ struct PlanCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    bypasses: AtomicU64,
 }
 
 fn cache() -> &'static PlanCache {
@@ -129,7 +128,6 @@ fn cache() -> &'static PlanCache {
         hits: AtomicU64::new(0),
         misses: AtomicU64::new(0),
         evictions: AtomicU64::new(0),
-        bypasses: AtomicU64::new(0),
     })
 }
 
@@ -208,10 +206,15 @@ thread_local! {
 }
 
 /// Journal probe for a freshly planned shape (runs only on the shared-
-/// cache miss path, so sweep-built and bypass plans stay silent): the
-/// chosen pack/tile/width decisions plus a digest of the full explain
-/// document. Returns the event id for the cache-insert probe to cite.
-fn journal_plan_build(key: &Key, x: &obs::PlanExplain) -> u64 {
+/// cache miss path, so sweep-built and directly built plans stay silent):
+/// the chosen pack/tile/width decisions plus a digest of the full explain
+/// document. Returns the event id for the cache-insert probe to cite, 0
+/// when the journal is off (`explain` is then never called).
+fn journal_plan_build(key: &Key, explain: impl FnOnce() -> obs::PlanExplain) -> u64 {
+    if !iatf_journal::is_enabled() {
+        return 0;
+    }
+    let x = explain();
     iatf_journal::publish(
         iatf_journal::EventKind::PlanBuild,
         &key.journal_key(),
@@ -239,13 +242,12 @@ fn journal_plan_build(key: &Key, x: &obs::PlanExplain) -> u64 {
 /// Looks `key` up in the front cache, then its shard; on a miss, builds
 /// the plan (outside the shard lock — concurrent same-shape misses may
 /// build twice, and the first insert wins) and caches it in both layers.
-/// `describe` journals the freshly built plan (a no-op closure returning
-/// 0 when the journal is off) and hands back the `plan_build` event id.
-fn get_or_build<P, F, D>(key: Key, build: F, describe: D) -> Result<Arc<P>, LayoutError>
+/// `explain` describes the freshly built plan for the journal.
+fn get_or_build<P, F, D>(key: Key, build: F, explain: D) -> Result<Arc<P>, LayoutError>
 where
     P: Send + Sync + 'static,
     F: FnOnce() -> Result<P, LayoutError>,
-    D: FnOnce(&P) -> u64,
+    D: FnOnce(&P) -> obs::PlanExplain,
 {
     let c = cache();
     // ordering: Relaxed — the epoch is the only shared word of the front
@@ -291,7 +293,7 @@ where
         None => {
             // build without holding the shard lock — planning allocates
             let planned = build()?;
-            let build_event = describe(&planned);
+            let build_event = journal_plan_build(&key, || explain(&planned));
             let built: AnyPlan = Arc::new(planned);
             // Journaled outside the shard lock below; `Some` only when
             // this thread actually inserted (the race loser stays quiet).
@@ -374,13 +376,6 @@ where
         .expect("plan cache keys encode the concrete plan type"))
 }
 
-/// Records a deliberate cache skip (the `Bypass` policy) in the stats.
-pub(crate) fn note_bypass() {
-    // ordering: Relaxed — monotonic statistics counter.
-    cache().bypasses.fetch_add(1, Relaxed);
-    obs::count_plan_cache(obs::CacheEvent::Bypass);
-}
-
 pub(crate) fn gemm_mode_bits(mode: GemmMode) -> u8 {
     (mode.transa.is_trans() as u8) | ((mode.transb.is_trans() as u8) << 1)
 }
@@ -415,12 +410,34 @@ pub fn cached_gemm_plan<E: CompactElement>(
     get_or_build(
         key,
         || GemmPlan::<E>::new(dims, mode, conj_a, conj_b, count, cfg),
-        |p| {
-            if !iatf_journal::is_enabled() {
-                return 0;
-            }
-            journal_plan_build(&key, &p.explain())
-        },
+        GemmPlan::explain,
+    )
+}
+
+/// Returns the shared triangular plan for this shape, building it on
+/// first use.
+pub(crate) fn cached_tri_plan<E: CompactElement, O: TriOp<E>>(
+    dims: TrsmDims,
+    mode: TrsmMode,
+    conj: bool,
+    count: usize,
+    cfg: &TuningConfig,
+) -> Result<Arc<TriPlan<E, O>>, LayoutError> {
+    let key = Key {
+        op: O::TUNE as u8,
+        dtype: E::DTYPE as u8,
+        m: dims.m,
+        n: dims.n,
+        k: 0,
+        mode: trsm_mode_bits(mode),
+        conj: conj as u8,
+        count,
+        cfg: cfg.fingerprint(),
+    };
+    get_or_build(
+        key,
+        || TriPlan::<E, O>::new(dims, mode, conj, count, cfg),
+        TriPlan::explain,
     )
 }
 
@@ -432,27 +449,7 @@ pub fn cached_trsm_plan<E: CompactElement>(
     count: usize,
     cfg: &TuningConfig,
 ) -> Result<Arc<TrsmPlan<E>>, LayoutError> {
-    let key = Key {
-        op: 1,
-        dtype: E::DTYPE as u8,
-        m: dims.m,
-        n: dims.n,
-        k: 0,
-        mode: trsm_mode_bits(mode),
-        conj: conj as u8,
-        count,
-        cfg: cfg.fingerprint(),
-    };
-    get_or_build(
-        key,
-        || TrsmPlan::<E>::new(dims, mode, conj, count, cfg),
-        |p| {
-            if !iatf_journal::is_enabled() {
-                return 0;
-            }
-            journal_plan_build(&key, &p.explain())
-        },
-    )
+    cached_tri_plan::<E, Solve>(dims, mode, conj, count, cfg)
 }
 
 /// Returns the shared TRMM plan for this shape, building it on first use.
@@ -463,27 +460,7 @@ pub fn cached_trmm_plan<E: CompactElement>(
     count: usize,
     cfg: &TuningConfig,
 ) -> Result<Arc<TrmmPlan<E>>, LayoutError> {
-    let key = Key {
-        op: 2,
-        dtype: E::DTYPE as u8,
-        m: dims.m,
-        n: dims.n,
-        k: 0,
-        mode: trsm_mode_bits(mode),
-        conj: conj as u8,
-        count,
-        cfg: cfg.fingerprint(),
-    };
-    get_or_build(
-        key,
-        || TrmmPlan::<E>::new(dims, mode, conj, count, cfg),
-        |p| {
-            if !iatf_journal::is_enabled() {
-                return 0;
-            }
-            journal_plan_build(&key, &p.explain())
-        },
-    )
+    cached_tri_plan::<E, Multiply>(dims, mode, conj, count, cfg)
 }
 
 /// Point-in-time plan-cache statistics. Always live (plain atomics,
@@ -497,8 +474,6 @@ pub struct PlanCacheStats {
     pub misses: u64,
     /// Entries discarded by the LRU bound.
     pub evictions: u64,
-    /// Calls that skipped the cache via `PlanCachePolicy::Bypass`.
-    pub bypasses: u64,
     /// Plans resident in the shared cache (front caches not counted).
     pub entries: usize,
 }
@@ -512,7 +487,6 @@ pub fn stats() -> PlanCacheStats {
         hits: c.hits.load(Relaxed),
         misses: c.misses.load(Relaxed),
         evictions: c.evictions.load(Relaxed),
-        bypasses: c.bypasses.load(Relaxed),
         entries: c
             .shards
             .iter()
@@ -554,7 +528,6 @@ pub fn clear() {
     c.hits.store(0, Relaxed);
     c.misses.store(0, Relaxed);
     c.evictions.store(0, Relaxed);
-    c.bypasses.store(0, Relaxed);
 }
 
 /// Total capacity of the shared cache in plans.

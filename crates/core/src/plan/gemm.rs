@@ -3,13 +3,13 @@
 use crate::autotune;
 use crate::config::{PackPolicy, TuningConfig};
 use crate::elem::CompactElement;
-use crate::plan::{explain as ex, group_packs, tiles, Command};
+use crate::plan::{check_shape, explain as ex, group_packs, superblocks, tiles, Command};
 use iatf_layout::{CompactBatch, GemmDims, GemmMode, LayoutError};
 use iatf_simd::VecWidth;
 use iatf_obs as obs;
 use iatf_pack::gemm as pk;
 use iatf_trace as trace;
-use iatf_pack::{arena, ArenaLease, PackBuffer};
+use iatf_pack::PackBuffer;
 use std::sync::OnceLock;
 
 /// How one GEMM operand is accessed (Pack Selecter output).
@@ -90,7 +90,7 @@ impl<E: CompactElement> GemmPlan<E> {
         // fits the L2 bound; above that the paper's rule packs whatever
         // spans more than one tile row/column. Conjugation must happen
         // during a copy. Policy overrides support the ablations.
-        let pack_policy = tuned.and_then(|t| t.pack).unwrap_or(cfg.pack);
+        let pack_policy = tuned.map_or(cfg.pack, |t| t.pack);
         let limit = crate::machine::direct_limit_bytes();
         let a_spills = a_panel_len * scalar_bytes > limit && dims.m > E::MR;
         let b_spills = b_panel_len * scalar_bytes > limit && dims.n > E::NR;
@@ -186,10 +186,55 @@ impl<E: CompactElement> GemmPlan<E> {
     /// Executes the plan: `C = α·op(A)·op(B) + β·C`.
     ///
     /// Scratch, when an operand is packed, comes from the thread-local
-    /// [`arena`], so repeated executes are allocation-free after the first
-    /// call on a thread; with both operands streamed in place there is no
-    /// scratch and no lease is taken.
+    /// arena, so repeated executes are allocation-free after the first call
+    /// on a thread; with both operands streamed in place there is no scratch
+    /// and no lease is taken.
     pub fn execute(
+        &self,
+        alpha: E,
+        a: &CompactBatch<E>,
+        b: &CompactBatch<E>,
+        beta: E,
+        c: &mut CompactBatch<E>,
+    ) -> Result<(), LayoutError> {
+        self.run::<false>(alpha, a, b, beta, c)
+    }
+
+    /// [`Self::execute`] with the super-blocks distributed across the rayon
+    /// pool (the shared super-block loop, `plan::superblocks`);
+    /// bit-identical to the serial path.
+    #[cfg(feature = "parallel")]
+    pub fn execute_parallel(
+        &self,
+        alpha: E,
+        a: &CompactBatch<E>,
+        b: &CompactBatch<E>,
+        beta: E,
+        c: &mut CompactBatch<E>,
+    ) -> Result<(), LayoutError> {
+        self.run::<true>(alpha, a, b, beta, c)
+    }
+
+    /// [`Self::execute`], or `execute_parallel` when `parallel` and the
+    /// `parallel` feature are on (the tuned serial/parallel dispatch).
+    pub(crate) fn execute_with(
+        &self,
+        parallel: bool,
+        alpha: E,
+        a: &CompactBatch<E>,
+        b: &CompactBatch<E>,
+        beta: E,
+        c: &mut CompactBatch<E>,
+    ) -> Result<(), LayoutError> {
+        #[cfg(feature = "parallel")]
+        if parallel {
+            return self.run::<true>(alpha, a, b, beta, c);
+        }
+        let _ = parallel;
+        self.run::<false>(alpha, a, b, beta, c)
+    }
+
+    fn run<const PARALLEL: bool>(
         &self,
         alpha: E,
         a: &CompactBatch<E>,
@@ -200,14 +245,12 @@ impl<E: CompactElement> GemmPlan<E> {
         self.validate(a, b, c)?;
         obs::count_execute(obs::Op::Gemm);
         let _trace = trace::span_arg(trace::SpanKind::Execute, self.packs as u64);
-        let (mut lease, mut unused) = self.scratch();
-        let gp = self.group_packs;
         let ps = c.pack_stride();
-        for (sb_idx, c_chunk) in c.as_scalars_mut().chunks_mut(ps * gp).enumerate() {
-            let sb_packs = c_chunk.len() / ps;
-            let buf = lease.as_mut().map_or(&mut unused, |l| l.buffer());
-            self.run_superblock(alpha, a, b, beta, c_chunk, ps, sb_idx * gp, sb_packs, buf);
-        }
+        let body = |c_chunk: &mut [E::Real], sb, sb_packs, buf: &mut PackBuffer<E::Real>| {
+            self.run_superblock(alpha, a, b, beta, c_chunk, ps, sb, sb_packs, buf);
+        };
+        let scratch = self.needs_scratch();
+        superblocks::<PARALLEL, _, _>(c.as_scalars_mut(), ps, self.group_packs, scratch, body);
         Ok(())
     }
 
@@ -215,13 +258,6 @@ impl<E: CompactElement> GemmPlan<E> {
     /// scratch).
     fn needs_scratch(&self) -> bool {
         self.a_plan == OperandPlan::Packed || self.b_plan == OperandPlan::Packed
-    }
-
-    /// One executor's scratch: an arena lease when something is packed;
-    /// otherwise no lease and an empty stand-in buffer (no allocation, no
-    /// pool traffic) for the zero-length panel slots.
-    fn scratch(&self) -> (Option<ArenaLease<E::Real>>, PackBuffer<E::Real>) {
-        (self.needs_scratch().then(arena::lease), PackBuffer::new())
     }
 
     /// Scalar lengths of the packed A and B panels (0 when streamed).
@@ -360,8 +396,7 @@ impl<E: CompactElement> GemmPlan<E> {
 
     /// Packs then computes one super-block of packs. `c_chunk` is the
     /// contiguous scalar storage of packs `sb..sb + sb_packs` (pack stride
-    /// `ps`) — the same code path serves the serial loop and the parallel
-    /// executor's per-task chunks, so both produce bit-identical results.
+    /// `ps`).
     #[allow(clippy::too_many_arguments)]
     fn run_superblock(
         &self,
@@ -406,44 +441,6 @@ impl<E: CompactElement> GemmPlan<E> {
                 cp,
             );
         }
-    }
-
-    /// Multi-threaded execution: *super-blocks* are distributed across the
-    /// rayon pool (the paper's "extend our approach to multicore CPU"
-    /// future-work item). Partitioning at super-block granularity preserves
-    /// the Batch Counter's L1 sizing per worker — each task packs and
-    /// computes exactly the working set the serial schedule would keep live
-    /// — and each worker leases its own scratch from the thread-local
-    /// [`arena`]. Tasks run the same [`Self::run_superblock`] body over the
-    /// same disjoint C chunks as the serial loop, so the result is
-    /// bit-identical to [`Self::execute`].
-    #[cfg(feature = "parallel")]
-    pub fn execute_parallel(
-        &self,
-        alpha: E,
-        a: &CompactBatch<E>,
-        b: &CompactBatch<E>,
-        beta: E,
-        c: &mut CompactBatch<E>,
-    ) -> Result<(), LayoutError> {
-        use rayon::prelude::*;
-        self.validate(a, b, c)?;
-        obs::count_execute(obs::Op::Gemm);
-        let _trace = trace::span_arg(trace::SpanKind::Execute, self.packs as u64);
-        let gp = self.group_packs;
-        let ps = c.pack_stride();
-        c.as_scalars_mut()
-            .par_chunks_mut(ps * gp)
-            .enumerate()
-            .for_each_init(
-                || self.scratch(),
-                |(lease, unused), (sb_idx, c_chunk)| {
-                    let sb_packs = c_chunk.len() / ps;
-                    let buf = lease.as_mut().map_or(unused, |l| l.buffer());
-                    self.run_superblock(alpha, a, b, beta, c_chunk, ps, sb_idx * gp, sb_packs, buf);
-                },
-            );
-        Ok(())
     }
 
     /// The plan rendered as the paper's command-queue view. Rendered once
@@ -532,52 +529,14 @@ impl<E: CompactElement> GemmPlan<E> {
     }
 }
 
-
 /// `spills`: one pack of the operand exceeds the in-place bound *and* spans
 /// more than one tile row/column (the paper's rule).
 fn decide(policy: PackPolicy, conj: bool, spills: bool) -> OperandPlan {
-    let pack = match policy {
-        PackPolicy::Always => true,
-        PackPolicy::Never => conj,
-        PackPolicy::Auto => conj || spills,
-    };
-    if pack {
+    if policy == PackPolicy::Always || conj || spills {
         OperandPlan::Packed
     } else {
         OperandPlan::Direct
     }
-}
-
-fn check_shape<E: CompactElement>(
-    operand: &'static str,
-    batch: &CompactBatch<E>,
-    rows: usize,
-    cols: usize,
-    count: usize,
-    width: VecWidth,
-) -> Result<(), LayoutError> {
-    if batch.width() != width {
-        return Err(LayoutError::WidthMismatch {
-            operand,
-            expected: width,
-            got: batch.width(),
-        });
-    }
-    if (batch.rows(), batch.cols()) != (rows, cols) {
-        return Err(LayoutError::ShapeMismatch {
-            operand,
-            expected: (rows, cols),
-            got: (batch.rows(), batch.cols()),
-        });
-    }
-    if batch.count() != count {
-        return Err(LayoutError::BatchMismatch {
-            operand,
-            expected: count,
-            got: batch.count(),
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -687,7 +646,8 @@ mod tests {
         let p = GemmPlan::<f32>::new(GemmDims::new(2, 2, 2), GemmMode::NN, false, false, 4, &cfg)
             .unwrap();
         assert_eq!(p.a_plan, OperandPlan::Packed);
-        cfg.pack = PackPolicy::Never;
+        // Auto streams whatever fits the direct bound
+        cfg.pack = PackPolicy::Auto;
         let p = GemmPlan::<f32>::new(
             GemmDims::new(20, 20, 20),
             GemmMode::TT,

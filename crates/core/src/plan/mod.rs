@@ -10,6 +10,11 @@
 //! 3. **Execution Plan Generator** — the tile/panel decomposition, kernel
 //!    selection, and the command queue binding everything together.
 //!
+//! Two plan types serve the three routines: [`GemmPlan`] and the triangular
+//! [`TriPlan`](tri::TriPlan), whose op parameter makes it [`TrsmPlan`] or
+//! [`TrmmPlan`]. Both run through one super-block loop
+//! (`superblocks`), serial or parallel.
+//!
 //! Plans are immutable once built and reusable across executions with the
 //! same shapes — the paper's point that "it only generates this execution
 //! plan at the beginning", amortizing run-time overhead over the group.
@@ -17,16 +22,17 @@
 pub mod cache;
 pub(crate) mod explain;
 pub mod gemm;
-pub(crate) mod tri;
-pub mod trmm;
-pub mod trsm;
+pub mod tri;
 
 pub use cache::PlanCacheStats;
 pub use gemm::GemmPlan;
-pub use trmm::TrmmPlan;
-pub use trsm::TrsmPlan;
+pub use tri::{TriPlan, TrmmPlan, TrsmPlan};
 
 use crate::config::BatchPolicy;
+use crate::elem::CompactElement;
+use iatf_layout::{CompactBatch, LayoutError};
+use iatf_pack::{arena, PackBuffer};
+use iatf_simd::{Real, VecWidth};
 
 /// Greedy 1-D tile decomposition: `(start, len)` chunks of at most `step`.
 /// Shared by every planner's M/N/panel tiling.
@@ -60,6 +66,82 @@ pub fn group_packs(
     g.clamp(1, total_packs.max(1))
 }
 
+/// The super-block loop behind every `execute` / `execute_parallel`:
+/// splits the output's scalar storage `out` into super-blocks of `gp`
+/// packs (pack stride `ps`) and calls `body(chunk, first_pack, packs,
+/// scratch)` on each — in order on this thread, or with `PARALLEL` across
+/// the rayon pool (the paper's multicore future-work extension).
+/// Parallelism is between super-blocks, never within one, so each task
+/// keeps the Batch Counter's L1 sizing and runs the same body over the same
+/// disjoint chunk as the serial loop: the result is bit-identical. With
+/// `scratch`, each thread leases its buffer from the thread-local
+/// [`arena`]; without, no lease is taken and `body` gets an empty buffer.
+#[inline(always)]
+pub(crate) fn superblocks<const PARALLEL: bool, R: Real, F>(
+    out: &mut [R],
+    ps: usize,
+    gp: usize,
+    scratch: bool,
+    body: F,
+) where
+    F: Fn(&mut [R], usize, usize, &mut PackBuffer<R>) + Send + Sync,
+{
+    #[cfg(feature = "parallel")]
+    if PARALLEL {
+        use rayon::prelude::*;
+        out.par_chunks_mut(ps * gp).enumerate().for_each_init(
+            || (scratch.then(arena::lease::<R>), PackBuffer::new()),
+            |(lease, unused), (sb_idx, chunk)| {
+                let buf = lease.as_mut().map_or(unused, |l| l.buffer());
+                body(chunk, sb_idx * gp, chunk.len() / ps, buf);
+            },
+        );
+        return;
+    }
+    // A plain loop, not the closure above: sharing one per-chunk closure
+    // with the parallel twin measured 5–7 % slower on warm GEMM.
+    let mut lease = scratch.then(arena::lease::<R>);
+    let mut unused = PackBuffer::new();
+    for (sb_idx, chunk) in out.chunks_mut(ps * gp).enumerate() {
+        let buf = lease.as_mut().map_or(&mut unused, |l| l.buffer());
+        body(chunk, sb_idx * gp, chunk.len() / ps, buf);
+    }
+}
+
+/// Checks one operand batch against the planned width, shape and count,
+/// naming the operand in the error.
+pub(crate) fn check_shape<E: CompactElement>(
+    operand: &'static str,
+    batch: &CompactBatch<E>,
+    rows: usize,
+    cols: usize,
+    count: usize,
+    width: VecWidth,
+) -> Result<(), LayoutError> {
+    if batch.width() != width {
+        return Err(LayoutError::WidthMismatch {
+            operand,
+            expected: width,
+            got: batch.width(),
+        });
+    }
+    if (batch.rows(), batch.cols()) != (rows, cols) {
+        return Err(LayoutError::ShapeMismatch {
+            operand,
+            expected: (rows, cols),
+            got: (batch.rows(), batch.cols()),
+        });
+    }
+    if batch.count() != count {
+        return Err(LayoutError::BatchMismatch {
+            operand,
+            expected: count,
+            got: batch.count(),
+        });
+    }
+    Ok(())
+}
+
 /// One step of a rendered execution plan — the "command queue" view the
 /// paper describes. Execution itself runs the equivalent structured loops;
 /// the rendered queue exists for introspection and plan-invariant tests.
@@ -88,7 +170,7 @@ pub enum Command {
         /// Kernel columns.
         nr: usize,
     },
-    /// Pack one B column panel for TRSM (α applied here).
+    /// Pack one B column panel of a triangular op.
     PackPanel {
         /// Pack index.
         pack: usize,
@@ -97,8 +179,8 @@ pub enum Command {
         /// Panel width.
         w: usize,
     },
-    /// Run one fused TRSM block kernel.
-    TrsmBlock {
+    /// Run one fused TRSM / TRMM block kernel.
+    TriBlock {
         /// Pack index.
         pack: usize,
         /// First column of the panel.
@@ -110,7 +192,7 @@ pub enum Command {
         /// Rows eliminated by the rectangular phase.
         kk: usize,
     },
-    /// Scatter a solved panel back into B.
+    /// Scatter a solved or multiplied panel back into B.
     UnpackPanel {
         /// Pack index.
         pack: usize,

@@ -189,7 +189,7 @@ fn gemm_batch_padding_cases() {
 #[test]
 fn gemm_policy_matrix() {
     // every pack/batch policy combination must agree with the oracle.
-    for pack in [PackPolicy::Auto, PackPolicy::Always, PackPolicy::Never] {
+    for pack in [PackPolicy::Auto, PackPolicy::Always] {
         for batch in [BatchPolicy::Auto, BatchPolicy::Fixed(1), BatchPolicy::Fixed(3)] {
             let cfg = TuningConfig {
                 pack,
@@ -339,7 +339,7 @@ fn trsm_register_capacity_boundary() {
 
 #[test]
 fn trsm_policy_matrix() {
-    for pack in [PackPolicy::Auto, PackPolicy::Always, PackPolicy::Never] {
+    for pack in [PackPolicy::Auto, PackPolicy::Always] {
         for batch in [BatchPolicy::Auto, BatchPolicy::Fixed(2)] {
             let cfg = TuningConfig {
                 pack,
@@ -397,7 +397,7 @@ fn plan_reuse_is_deterministic() {
 // In-place streaming vs the fully packed reference
 // ---------------------------------------------------------------------------
 
-use iatf_core::{GemmPlan, PlanCachePolicy, TrmmPlan, TrsmPlan};
+use iatf_core::{GemmPlan, TrmmPlan, TrsmPlan};
 use iatf_layout::{GemmDims, TrsmDims};
 use iatf_simd::{available_widths, VecWidth};
 
@@ -412,7 +412,6 @@ fn policy_cfg(pack: PackPolicy, width: VecWidth) -> TuningConfig {
     TuningConfig {
         pack,
         width,
-        plan_cache: PlanCachePolicy::Bypass,
         ..TuningConfig::default()
     }
 }
@@ -596,11 +595,6 @@ fn gemm_direct_matches_packed<E: CompactElement>(width: VecWidth) {
             let want_bits = scalar_bits(&run(PackPolicy::Always, false));
             let got = run(PackPolicy::Auto, false);
             assert_eq!(scalar_bits(&got), want_bits, "auto {what}");
-            assert_eq!(
-                scalar_bits(&run(PackPolicy::Never, false)),
-                want_bits,
-                "never {what}"
-            );
             if cfg!(feature = "parallel") {
                 assert_eq!(
                     scalar_bits(&run(PackPolicy::Auto, true)),

@@ -1,12 +1,12 @@
-//! Plan-cache behaviour: hit/miss accounting, bypass, the eviction bound,
-//! and a concurrent mixed-shape stress run.
+//! Plan-cache behaviour: hit/miss accounting, plans built outside it, the
+//! eviction bound, and a concurrent mixed-shape stress run.
 //!
 //! The cache and its counters are process-global, so every test serializes
 //! on one mutex and starts from `cache::clear()`.
 
 use iatf_core::plan::cache;
-use iatf_core::{compact_gemm, compact_trmm, compact_trsm, PlanCachePolicy, TuningConfig};
-use iatf_layout::{CompactBatch, GemmMode, StdBatch, TrsmMode};
+use iatf_core::{compact_gemm, compact_trmm, compact_trsm, GemmPlan, TuningConfig};
+use iatf_layout::{CompactBatch, GemmDims, GemmMode, StdBatch, TrsmMode};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -16,11 +16,26 @@ fn lock() -> MutexGuard<'static, ()> {
     guard
 }
 
+fn operands(m: usize, n: usize, k: usize, count: usize) -> [CompactBatch<f64>; 3] {
+    [
+        CompactBatch::from_std(&StdBatch::<f64>::random(m, k, count, 1)),
+        CompactBatch::from_std(&StdBatch::<f64>::random(k, n, count, 2)),
+        CompactBatch::<f64>::zeroed(m, n, count),
+    ]
+}
+
 fn gemm_once(m: usize, n: usize, k: usize, count: usize, cfg: &TuningConfig) -> CompactBatch<f64> {
-    let a = CompactBatch::from_std(&StdBatch::<f64>::random(m, k, count, 1));
-    let b = CompactBatch::from_std(&StdBatch::<f64>::random(k, n, count, 2));
-    let mut c = CompactBatch::<f64>::zeroed(m, n, count);
+    let [a, b, mut c] = operands(m, n, k, count);
     compact_gemm(GemmMode::NN, 1.0, &a, &b, 0.0, &mut c, cfg).unwrap();
+    c
+}
+
+/// The same product through a plan built directly, outside the cache.
+fn gemm_fresh(m: usize, n: usize, k: usize, count: usize) -> CompactBatch<f64> {
+    let [a, b, mut c] = operands(m, n, k, count);
+    let dims = GemmDims::new(m, n, k);
+    let plan = GemmPlan::<f64>::new(dims, GemmMode::NN, false, false, count, &TuningConfig::default());
+    plan.unwrap().execute(1.0, &a, &b, 0.0, &mut c).unwrap();
     c
 }
 
@@ -73,20 +88,15 @@ fn distinct_ops_and_configs_do_not_collide() {
 }
 
 #[test]
-fn bypass_policy_skips_the_cache() {
+fn directly_built_plans_skip_the_cache() {
     let _g = lock();
-    let cfg = TuningConfig {
-        plan_cache: PlanCachePolicy::Bypass,
-        ..TuningConfig::default()
-    };
     let shared = gemm_once(6, 5, 4, 16, &TuningConfig::default());
-    let bypassed = gemm_once(6, 5, 4, 16, &cfg);
-    // same plan either way — bypass changes lifetime, not results
-    assert_eq!(shared.as_scalars(), bypassed.as_scalars());
+    let fresh = gemm_fresh(6, 5, 4, 16);
+    // same plan either way — where it lives changes, not the results
+    assert_eq!(shared.as_scalars(), fresh.as_scalars());
+    gemm_fresh(6, 5, 4, 16);
     let s = cache::stats();
-    assert_eq!((s.misses, s.bypasses, s.entries), (1, 1, 1));
-    gemm_once(6, 5, 4, 16, &cfg);
-    assert_eq!(cache::stats().bypasses, 2);
+    assert_eq!((s.hits, s.misses, s.entries), (0, 1, 1));
 }
 
 #[test]
@@ -111,18 +121,14 @@ fn concurrent_mixed_shapes_stress() {
     let _g = lock();
     let cfg = TuningConfig::default();
     // More live shapes than one shard holds, hammered from many threads;
-    // every cached result must be bit-identical to a bypass (fresh-plan)
-    // call, and the bound must hold under concurrency.
+    // every cached result must be bit-identical to a fresh plan's, and
+    // the bound must hold under concurrency.
     let shapes: Vec<(usize, usize, usize, usize)> = (0..24)
         .map(|i| (2 + i % 5, 2 + (i / 5) % 4, 2 + i % 3, 8 + i))
         .collect();
-    let bypass = TuningConfig {
-        plan_cache: PlanCachePolicy::Bypass,
-        ..TuningConfig::default()
-    };
     let expected: Vec<CompactBatch<f64>> = shapes
         .iter()
-        .map(|&(m, n, k, count)| gemm_once(m, n, k, count, &bypass))
+        .map(|&(m, n, k, count)| gemm_fresh(m, n, k, count))
         .collect();
     std::thread::scope(|scope| {
         for t in 0..8 {

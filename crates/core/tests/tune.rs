@@ -13,6 +13,8 @@
 //! * Under the default `Auto` pack policy the sweep never races the fully
 //!   packed plan (it cannot beat `Auto`); swept from a packed base it
 //!   still races `Auto`.
+//! * A db persisted while `PackPolicy::Never` existed still loads, and its
+//!   `Never` entries plan like `Auto`.
 //!
 //! The tuning db and plan cache are process-global, so every test
 //! serializes on one mutex, disables db persistence, and starts clean.
@@ -20,8 +22,8 @@
 use iatf_core::autotune::{gemm_tune_key, sweep_configs, trmm_tune_key, trsm_tune_key};
 use iatf_core::plan::cache;
 use iatf_core::{
-    compact_gemm, compact_trmm, compact_trsm, CompactElement, GemmPlan, PackPolicy,
-    PlanCachePolicy, TrmmPlan, TrsmPlan, TunePolicy, TuningConfig,
+    compact_gemm, compact_trmm, compact_trsm, CompactElement, GemmPlan, PackPolicy, TrmmPlan,
+    TrsmPlan, TunePolicy, TuningConfig,
 };
 use iatf_layout::{CompactBatch, GemmDims, GemmMode, StdBatch, TrsmDims, TrsmMode};
 use iatf_simd::{c32, c64, dispatched_width, Real};
@@ -69,10 +71,7 @@ fn bits<E: CompactElement>(c: &CompactBatch<E>) -> Vec<u64> {
 }
 
 fn heuristic_cfg() -> TuningConfig {
-    TuningConfig {
-        plan_cache: PlanCachePolicy::Bypass,
-        ..TuningConfig::default()
-    }
+    TuningConfig::default()
 }
 
 fn cached_cfg() -> TuningConfig {
@@ -210,7 +209,6 @@ fn generation_bump_invalidates_cached_plans() {
     let _g = lock();
     let cfg = TuningConfig {
         tune: TunePolicy::Cached,
-        plan_cache: PlanCachePolicy::Shared,
         ..TuningConfig::default()
     };
     let dims = GemmDims::new(6, 6, 6);
@@ -353,11 +351,36 @@ fn auto_base_never_races_always_and_a_packed_base_still_offers_auto() {
     for gp0 in [1, 2, 7, 64] {
         let from_auto = sweep_configs(&auto, gp0);
         assert_eq!(from_auto[0].pack, PackPolicy::Auto);
-        assert!(from_auto.iter().all(|c| c.pack != PackPolicy::Always));
-        assert!(from_auto.iter().any(|c| c.pack == PackPolicy::Never));
+        assert!(from_auto.iter().all(|c| c.pack == PackPolicy::Auto));
         let from_packed = sweep_configs(&packed, gp0);
         assert_eq!(from_packed[0].pack, PackPolicy::Always);
         assert!(from_packed.iter().any(|c| c.pack == PackPolicy::Auto));
-        assert!(from_packed.iter().any(|c| c.pack == PackPolicy::Never));
     }
+}
+
+#[test]
+fn a_persisted_never_entry_loads_and_plans_like_auto() {
+    let _g = lock();
+    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/tune-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("core-never-{}.json", std::process::id()));
+    let log = dir.join(format!("core-never-{}.json.log", std::process::id()));
+    let _ = (std::fs::remove_file(&path), std::fs::remove_file(&log));
+
+    // A db written by a build that still had `Never` (pack code 2), with a
+    // super-block size the heuristic would not pick.
+    let (dims, mode) = (TrsmDims::new(9, 6), TrsmMode::LNLN);
+    let key = trsm_tune_key::<f64>(dims, mode, false, COUNT, dispatched_width());
+    let writer = TuningDb::in_memory();
+    writer.set_path(Some(path.clone()));
+    writer.record(key, TunedEntry { pack: 2, group_packs: 1, ..forced_entry() });
+
+    let db = TuningDb::global();
+    assert_eq!(db.load_from(&path), iatf_tune::LoadOutcome::Loaded(1));
+    assert_eq!(db.lookup(&key).map(|e| e.pack), Some(2));
+    let ph = TrsmPlan::<f64>::new(dims, mode, false, COUNT, &heuristic_cfg()).unwrap();
+    let pt = TrsmPlan::<f64>::new(dims, mode, false, COUNT, &cached_cfg()).unwrap();
+    assert_eq!((pt.a_plan, pt.b_plan), (ph.a_plan, ph.b_plan));
+    assert_eq!(pt.group_packs, 1, "the entry must still apply");
+    let _ = (std::fs::remove_file(&path), std::fs::remove_file(&log));
 }

@@ -7,7 +7,7 @@
 
 use iatf_core::watch;
 use iatf_core::{
-    compact_gemm, ensure_tuned_gemm, gemm_tune_key, PlanCachePolicy, TunePolicy, TuningConfig,
+    compact_gemm, ensure_tuned_gemm, gemm_tune_key, TunePolicy, TuningConfig,
 };
 use iatf_layout::{CompactBatch, GemmDims, GemmMode, StdBatch};
 use iatf_tune::{TuningDb, TuneKey};
@@ -53,7 +53,6 @@ fn drift_triggers_retune_and_generation_bump() {
     isolate();
     let cfg = TuningConfig {
         tune: TunePolicy::FirstTouch(20),
-        plan_cache: PlanCachePolicy::Shared,
         ..TuningConfig::host()
     };
     let (a, b, mut c) = operands();

@@ -15,8 +15,7 @@
 use iatf_baselines::naive;
 use iatf_core::autotune::gemm_tune_key;
 use iatf_core::{
-    compact_gemm, compact_trmm, compact_trsm, CompactElement, GemmPlan, PlanCachePolicy,
-    TunePolicy, TuningConfig,
+    compact_gemm, compact_trmm, compact_trsm, CompactElement, GemmPlan, TunePolicy, TuningConfig,
 };
 use iatf_layout::{CompactBatch, GemmDims, GemmMode, LayoutError, StdBatch, TrsmMode};
 use iatf_simd::{available_widths, c32, c64, Element, Real, VecWidth};
@@ -29,7 +28,6 @@ fn tol<E: Element>(k: usize) -> f64 {
 fn cfg_at(width: VecWidth) -> TuningConfig {
     TuningConfig {
         width,
-        plan_cache: PlanCachePolicy::Bypass,
         ..TuningConfig::default()
     }
 }

@@ -63,7 +63,6 @@ mod tests {
         count_plan_cache(CacheEvent::Hit);
         count_plan_cache(CacheEvent::Miss);
         count_plan_cache(CacheEvent::Eviction);
-        count_plan_cache(CacheEvent::Bypass);
         count_arena_lease(0);
         count_arena_lease(4096);
         count_arena_bytes_grown(512);
@@ -100,7 +99,7 @@ mod tests {
             assert_eq!(s.batch_counts[4], 1);
             assert_eq!(s.batch_counts[2], 1);
             assert_eq!(s.batch_counts[3], 1);
-            assert_eq!(s.plan_cache, [2, 1, 1, 1]);
+            assert_eq!(s.plan_cache, [2, 1, 1]);
             assert_eq!(s.arena_leases, 2);
             assert_eq!(s.arena_reuses, 1);
             assert_eq!(s.arena_bytes_reused, 4096);

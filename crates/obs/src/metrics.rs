@@ -93,7 +93,7 @@ struct Registry {
     packed_bytes_a: AtomicU64,
     packed_bytes_b: AtomicU64,
     batch_counts: Histogram,
-    plan_cache: [AtomicU64; 4], // hits, misses, evictions, bypasses
+    plan_cache: [AtomicU64; 3], // hits, misses, evictions
     arena_leases: AtomicU64,
     arena_reuses: AtomicU64,
     arena_bytes_reused: AtomicU64,
@@ -263,7 +263,7 @@ pub fn count_packed_bytes_b(bytes: usize) {
     let _ = bytes;
 }
 
-/// Outcome of one plan-cache lookup (or deliberate skip).
+/// Outcome of one plan-cache lookup.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum CacheEvent {
     /// A matching plan was found and returned.
@@ -272,8 +272,6 @@ pub enum CacheEvent {
     Miss = 1,
     /// An entry was discarded to make room (accompanies some misses).
     Eviction = 2,
-    /// The caller asked for a fresh plan, skipping the cache entirely.
-    Bypass = 3,
 }
 
 /// One plan-cache event occurred.
@@ -533,9 +531,8 @@ pub struct MetricsSnapshot {
     pub packed_bytes_b: u64,
     /// log2 histogram of batch counts seen at plan build.
     pub batch_counts: Vec<u64>,
-    /// Plan-cache lookups, in `CacheEvent` order: hits, misses, evictions,
-    /// bypasses.
-    pub plan_cache: [u64; 4],
+    /// Plan-cache lookups, in `CacheEvent` order: hits, misses, evictions.
+    pub plan_cache: [u64; 3],
     /// Pack-arena leases taken.
     pub arena_leases: u64,
     /// Leases that recycled a warm buffer (no allocation, no zero fill).
@@ -758,8 +755,7 @@ impl MetricsSnapshot {
                 Json::object()
                     .set("hits", self.plan_cache[0])
                     .set("misses", self.plan_cache[1])
-                    .set("evictions", self.plan_cache[2])
-                    .set("bypasses", self.plan_cache[3]),
+                    .set("evictions", self.plan_cache[2]),
             )
             .set(
                 "arena",

@@ -45,7 +45,8 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// exports (BENCH_4) and staleness audits can see *why* an entry exists.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct TunedEntry {
-    /// Pack Selecter override: 0 = Auto, 1 = Always, 2 = Never.
+    /// Pack Selecter override: 0 = Auto, 1 = Always (2, the retired
+    /// `Never`, reads back as Auto).
     pub pack: u8,
     /// Batch Counter override: packs per super-block; 0 keeps the
     /// heuristic L1-model output.

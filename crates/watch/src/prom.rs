@@ -138,7 +138,7 @@ pub fn render_prometheus(watch: &WatchSnapshot, metrics: &MetricsSnapshot) -> St
     // A slice of the obs counters most useful on a dashboard next to the
     // watch series; the full obs snapshot stays available as JSON.
     header(&mut out, "iatf_plan_cache_events_total", "counter", "Plan-cache lookups by outcome.");
-    for (i, kind) in ["hit", "miss", "eviction", "bypass"].iter().enumerate() {
+    for (i, kind) in ["hit", "miss", "eviction"].iter().enumerate() {
         let _ = writeln!(out, "iatf_plan_cache_events_total{{kind=\"{kind}\"}} {}", metrics.plan_cache[i]);
     }
     header(&mut out, "iatf_tune_events_total", "counter", "Autotuner events by kind.");

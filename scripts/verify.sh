@@ -47,17 +47,22 @@ cargo test -q -p iatf-kernels
 cargo test -q -p iatf-pack
 cargo test -q -p iatf-layout
 
-echo "==> frozen benchmark: harness tests and a traced triangular replay"
+echo "==> frozen benchmark: harness tests, a traced triangular replay, first touch"
 # The benchmark's `--trace 1` replay drives the triangular operand
 # contract from its own sources (`iatf_pack::trsm::{a_layout, pack_a_tri}`
 # and the block kernels at `(rect_off, g, mb·g, tri_off)`), so a change to
 # that contract must keep its harness tests green and its replay correct.
+# The traced first_touch run drives the tuner and plan-cache entry points
+# from outside the workspace: ensure_tuned_{trsm,trmm},
+# cached_{trsm,trmm}_plan and held TrsmPlan/TrmmPlan executes.
 cargo test -q --manifest-path benchmark/Cargo.toml
 mkdir -p target
-cargo run -q --release --manifest-path benchmark/Cargo.toml -- \
-  --workload tri_resident --seed 1 --seconds 2 --trace 1 > target/bench_tri_trace.txt
-grep -Eq '^verdict +correct' target/bench_tri_trace.txt \
-  || { echo "FAIL: traced tri_resident replay is not 'verdict correct'"; exit 1; }
+for workload in tri_resident first_touch; do
+  cargo run -q --release --manifest-path benchmark/Cargo.toml -- \
+    --workload $workload --seed 1 --seconds 2 --trace 1 > target/bench_${workload}_trace.txt
+  grep -Eq '^verdict +correct' target/bench_${workload}_trace.txt \
+    || { echo "FAIL: traced $workload run is not 'verdict correct'"; exit 1; }
+done
 
 echo "==> obs feature OFF is the default release artifact (built above)"
 echo "==> obs feature ON: release build"
@@ -131,9 +136,8 @@ IATF_TUNE_DB=target/tune-tests/sentinel.json \
 
 echo "==> pack-policy ablation smoke (reproduce ablation-pack)"
 # Auto streams in place by default, so the ablation is what keeps the
-# fully packed (Always) and unconditionally streamed (Never) paths
-# exercised end to end (sgemm NN and cgemm NT, one JSON document each);
-# every series must produce a finite throughput.
+# fully packed (Always) path exercised end to end (sgemm NN and cgemm NT,
+# one JSON document each); every series must produce a finite throughput.
 cargo run -q --release -p iatf-bench --bin reproduce -- \
   ablation-pack --sizes 4,12,33 --json > target/ablation_pack.json
 python3 - <<'EOF'
@@ -146,7 +150,7 @@ while at < len(text):
 assert len(docs) == 2, [d["title"] for d in docs]
 for doc in docs:
     series = {s["name"]: s["values"] for s in doc["series"]}
-    for name in ("Auto (in place)", "Always pack", "Never pack"):
+    for name in ("Auto (in place)", "Always pack"):
         vals = series[name]
         assert len(vals) == len(doc["x"]) and all(math.isfinite(v) and v > 0 for v in vals), (
             f"{doc['title']} / {name}: {vals}")
@@ -165,7 +169,6 @@ ratio = doc["aggregate_amortization_ratio"]
 cache = doc["plan_cache"]
 tp = doc["throughput"]
 assert cache["hits"] > 0 and cache["misses"] > 0, "cache never exercised"
-assert cache["bypasses"] > 0, "bypass policy never exercised"
 assert tp["parallel_feature"] and len(tp["parallel_gflops"]) == len(tp["sizes"])
 assert ratio >= 5.0, f"cached dispatch must be >=5x cheaper, measured {ratio:.1f}x"
 print(f"    aggregate amortization ratio: {ratio:.1f}x "

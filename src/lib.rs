@@ -29,7 +29,7 @@ pub use iatf_simd as simd;
 pub use iatf_core::{
     compact_gemm, compact_gemm_ex, compact_trmm, compact_trmm_ex, compact_trsm, compact_trsm_ex,
     std_gemm_via_compact, std_trsm_via_compact, BatchPolicy, CompactElement, GemmPlan, PackPolicy,
-    PlanCachePolicy, PlanCacheStats, TrmmPlan, TrsmPlan, TunePolicy, TuningConfig,
+    PlanCacheStats, TrmmPlan, TrsmPlan, TunePolicy, TuningConfig,
 };
 pub use iatf_tune::{Provenance, TunedEntry, TuningDb};
 pub use iatf_layout::{
@@ -42,7 +42,7 @@ pub use iatf_simd::{c32, c64, Complex, DType, Element};
 pub mod prelude {
     pub use crate::{
         c32, c64, compact_gemm, compact_trmm, compact_trsm, CompactBatch, Complex, DType, Diag,
-        Element, GemmDims, GemmMode, GemmPlan, PlanCachePolicy, Side, StdBatch, Trans, TrmmPlan,
+        Element, GemmDims, GemmMode, GemmPlan, Side, StdBatch, Trans, TrmmPlan,
         TrsmDims, TrsmMode, TrsmPlan, TunePolicy, TuningConfig, Uplo,
     };
 }

@@ -150,6 +150,48 @@ fn error_paths_are_reported() {
     let b_badcount = CompactBatch::from_std(&StdBatch::<f32>::random(3, 5, 11, 2));
     let err = compact_gemm(GemmMode::NN, 1.0, &a, &b_badcount, 0.0, &mut c, &cfg).unwrap_err();
     assert!(matches!(err, LayoutError::BatchMismatch { .. }));
+
+    // Triangular ops name the operand at fault and its own count. B sets
+    // the plan (4×5, 10 matrices), so A must be 4×4 × 10.
+    let tri = |rows, cols, count| CompactBatch::<f32>::zeroed(rows, cols, count);
+    let cases = [
+        (tri(5, 5, 10), tri(4, 5, 10), LayoutError::ShapeMismatch {
+            operand: "A",
+            expected: (4, 4),
+            got: (5, 5),
+        }),
+        (tri(4, 4, 11), tri(4, 5, 10), LayoutError::BatchMismatch {
+            operand: "A",
+            expected: 10,
+            got: 11,
+        }),
+    ];
+    for (a, mut b, want) in cases {
+        assert_eq!(compact_trsm(TrsmMode::LNLN, 1.0, &a, &mut b, &cfg), Err(want.clone()));
+        assert_eq!(compact_trmm(TrsmMode::LNLN, 1.0, &a, &mut b, &cfg), Err(want));
+    }
+    // B's own shape and count come from B, so a plan built for B cannot
+    // disagree with it; a B mismatch shows on a plan built for another B.
+    let dims = TrsmDims::new(4, 5);
+    let trsm = TrsmPlan::<f32>::new(dims, TrsmMode::LNLN, false, 10, &cfg).unwrap();
+    let trmm = TrmmPlan::<f32>::new(dims, TrsmMode::LNLN, false, 10, &cfg).unwrap();
+    let a = tri(4, 4, 10);
+    let cases = [
+        (tri(4, 6, 10), LayoutError::ShapeMismatch {
+            operand: "B",
+            expected: (4, 5),
+            got: (4, 6),
+        }),
+        (tri(4, 5, 9), LayoutError::BatchMismatch {
+            operand: "B",
+            expected: 10,
+            got: 9,
+        }),
+    ];
+    for (mut b, want) in cases {
+        assert_eq!(trsm.execute(1.0, &a, &mut b), Err(want.clone()));
+        assert_eq!(trmm.execute(1.0, &a, &mut b), Err(want));
+    }
 }
 
 #[test]
