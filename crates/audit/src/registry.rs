@@ -56,8 +56,6 @@ static WORKSPACE: Registry = Registry {
         // kernel bodies at 256/512-bit widths.
         "crates/kernels/src/",
         "crates/kernels/tests/proptests.rs",
-        // Packing fast paths over raw slices.
-        "crates/layout/src/compact.rs",
         // Vendored-reference baselines used for benchmarking only.
         "crates/baselines/src/",
         // Element-type punning confined to one audited module.

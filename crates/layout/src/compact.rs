@@ -25,17 +25,23 @@
 //! to be one so the padded lanes stay finite — see
 //! [`CompactBatch::pad_triangle_identity`].
 
+use crate::aligned::AlignedVec;
 use crate::std_batch::StdBatch;
 use iatf_simd::{dispatched_width, Element, Real, VecWidth};
 
 /// A group of matrices in the SIMD-friendly compact layout.
+///
+/// The storage starts on a 64-byte cache line ([`AlignedVec`]), and every
+/// element group is a whole number of vectors of the batch's width from
+/// that start, so no group load or store splits a line: a 512-bit group is
+/// exactly one line.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CompactBatch<E: Element> {
     rows: usize,
     cols: usize,
     count: usize,
     width: VecWidth,
-    data: Vec<E::Real>,
+    data: AlignedVec<E::Real>,
 }
 
 impl<E: Element> CompactBatch<E> {
@@ -55,7 +61,7 @@ impl<E: Element> CompactBatch<E> {
             cols,
             count,
             width,
-            data: vec![E::Real::default(); packs * rows * cols * p * E::SCALARS],
+            data: AlignedVec::zeroed(packs * rows * cols * p * E::SCALARS),
         }
     }
 
@@ -224,16 +230,14 @@ impl<E: Element> CompactBatch<E> {
     /// Raw pointer to the first scalar of a pack (kernel entry point).
     pub fn pack_ptr(&self, pack: usize) -> *const E::Real {
         debug_assert!(pack < self.packs());
-        // Safety of later dereferences is the caller's responsibility; the
-        // offset itself is in bounds.
-        unsafe { self.data.as_ptr().add(pack * self.pack_stride()) }
+        self.data[pack * self.pack_stride()..].as_ptr()
     }
 
     /// Mutable raw pointer to the first scalar of a pack.
     pub fn pack_ptr_mut(&mut self, pack: usize) -> *mut E::Real {
         debug_assert!(pack < self.packs());
-        // SAFETY: `pack < packs()` (debug-asserted and upheld by callers), so the offset itself is in bounds.
-        unsafe { self.data.as_mut_ptr().add(pack * self.pack_stride()) }
+        let at = pack * self.pack_stride();
+        self.data[at..].as_mut_ptr()
     }
 
     /// Whole scalar storage.
@@ -472,6 +476,41 @@ mod tests {
             b.col_stride()
         );
         assert_eq!(b.as_scalars().len(), b.packs() * b.pack_stride());
+    }
+
+    #[test]
+    fn storage_is_line_aligned_at_every_width_and_size() {
+        // From one element group to a batch past the allocator's 128 KiB
+        // mmap threshold, where a plain `Vec` lands at page + 16.
+        fn check<E: Element>(width: VecWidth) {
+            let aligned = |b: &CompactBatch<E>| {
+                b.as_scalars()
+                    .as_ptr()
+                    .addr()
+                    .is_multiple_of(crate::LINE_BYTES)
+            };
+            let mut largest = 0;
+            for (n, count) in [(1usize, 1usize), (3, 7), (48, 20)] {
+                let zeroed = CompactBatch::<E>::zeroed_at(n, n, count, width);
+                let converted =
+                    CompactBatch::from_std_at(&StdBatch::<E>::random(n, n, count, 3), width);
+                let copy = converted.clone();
+                assert!(
+                    aligned(&zeroed) && aligned(&converted) && aligned(&copy),
+                    "{:?} {width:?} n={n}",
+                    E::DTYPE
+                );
+                assert_eq!(copy, converted);
+                largest = largest.max(core::mem::size_of_val(converted.as_scalars()));
+            }
+            assert!(largest > 128 << 10);
+        }
+        for width in VecWidth::ALL {
+            check::<f32>(width);
+            check::<f64>(width);
+            check::<c32>(width);
+            check::<c64>(width);
+        }
     }
 
     #[test]

@@ -14,15 +14,20 @@
 //! `pack`/`unpack` equivalents), along with the BLAS matrix property types
 //! the run-time stage keys its decisions on (paper: *Matrix Size,
 //! Transposed/Non-Transposed, Left/Right, Lower/Upper, Unit/NonUnit*).
+//! Compact storage is an [`AlignedVec`]: every batch starts on a 64-byte
+//! cache line.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod aligned;
 pub mod compact;
 pub mod dims;
 pub mod props;
 pub mod rng;
 pub mod std_batch;
 
+pub use aligned::{AlignedVec, LINE_BYTES};
 pub use compact::CompactBatch;
 pub use dims::{GemmDims, LayoutError, TrsmDims};
 pub use props::{Diag, GemmMode, Side, Trans, TrsmMode, Uplo};

@@ -13,9 +13,11 @@
 //! packing working set in its own L1, matching the parallel executor's
 //! one-superblock-per-task partitioning. The pool is keyed by scalar type
 //! (`f32`/`f64` for the four BLAS precisions) through `TypeId`, so one
-//! fully safe implementation serves every element type.
+//! fully safe implementation serves every element type. The pooled storage
+//! is [`AlignedVec`], so a leased buffer starts on a 64-byte cache line.
 
 use crate::PackBuffer;
+use iatf_layout::AlignedVec;
 use iatf_simd::Real;
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
@@ -49,7 +51,7 @@ impl<R: Real> ArenaLease<R> {
 impl<R: Real> Drop for ArenaLease<R> {
     fn drop(&mut self) {
         let storage = core::mem::take(&mut self.buf).into_vec();
-        if storage.capacity() == 0 {
+        if storage.is_empty() {
             return;
         }
         POOLS.with(|pools| {
@@ -65,19 +67,19 @@ impl<R: Real> Drop for ArenaLease<R> {
 /// Takes a buffer from the current thread's pool (the one with the most
 /// initialized storage), or a fresh empty buffer when the pool is cold.
 pub fn lease<R: Real>() -> ArenaLease<R> {
-    let storage: Vec<R> = POOLS.with(|pools| {
+    let storage: AlignedVec<R> = POOLS.with(|pools| {
         let mut pools = pools.borrow_mut();
         let pool = pools.entry(TypeId::of::<R>()).or_default();
         // largest first: one warm buffer serves every panel size seen so far
         let best = (0..pool.len()).max_by_key(|&i| {
             pool[i]
-                .downcast_ref::<Vec<R>>()
+                .downcast_ref::<AlignedVec<R>>()
                 .map_or(0, |v| v.len())
         });
         best.map(|i| {
             *pool
                 .swap_remove(i)
-                .downcast::<Vec<R>>()
+                .downcast::<AlignedVec<R>>()
                 .expect("arena pool entries are keyed by TypeId")
         })
         .unwrap_or_default()

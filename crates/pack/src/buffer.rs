@@ -1,5 +1,6 @@
 //! Reusable packing buffer.
 
+use iatf_layout::AlignedVec;
 use iatf_simd::Real;
 
 /// A growable scratch buffer for packed panels.
@@ -7,6 +8,10 @@ use iatf_simd::Real;
 /// Execution plans reuse one buffer across all super-blocks so the packing
 /// traffic stays in the same L1-resident working set (the Batch Counter
 /// sizes the per-super-block footprint to the L1 capacity).
+///
+/// Storage is an [`AlignedVec`]: the buffer starts on a 64-byte cache line,
+/// and panels are cut from it in whole element groups, so every packed
+/// group starts on a line boundary like the compact batches it mirrors.
 ///
 /// Growth semantics matter on the hot path: storage is zero-filled only on
 /// **first touch** ([`PackBuffer::reserve`] extends with zeros exactly once
@@ -16,13 +21,13 @@ use iatf_simd::Real;
 /// steady-state executes neither allocate nor memset.
 #[derive(Debug, Default)]
 pub struct PackBuffer<R> {
-    data: Vec<R>,
+    data: AlignedVec<R>,
 }
 
 impl<R: Real> PackBuffer<R> {
     /// Creates an empty buffer.
     pub fn new() -> Self {
-        Self { data: Vec::new() }
+        Self::default()
     }
 
     /// Creates a buffer with `len` scalars already initialized.
@@ -34,12 +39,12 @@ impl<R: Real> PackBuffer<R> {
 
     /// Wraps storage recycled from a previous buffer (see [`crate::arena`]);
     /// its initialized prefix is reused without re-zero-filling.
-    pub fn from_vec(data: Vec<R>) -> Self {
+    pub fn from_vec(data: AlignedVec<R>) -> Self {
         Self { data }
     }
 
     /// Consumes the buffer, yielding its storage for later reuse.
-    pub fn into_vec(self) -> Vec<R> {
+    pub fn into_vec(self) -> AlignedVec<R> {
         self.data
     }
 
@@ -49,7 +54,7 @@ impl<R: Real> PackBuffer<R> {
     pub fn reserve(&mut self, len: usize) {
         if self.data.len() < len {
             let grown = len - self.data.len();
-            self.data.resize(len, R::ZERO);
+            self.data.resize(len);
             iatf_obs::count_arena_bytes_grown(grown * core::mem::size_of::<R>());
         }
     }
@@ -131,6 +136,35 @@ mod tests {
         buf.reserve(12);
         assert!(buf.get(12)[..8].iter().all(|&x| x == 3.0));
         assert!(buf.get(12)[8..].iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn panels_start_on_a_cache_line() {
+        fn check<R: Real>() {
+            let line = |s: &[R]| s.as_ptr().addr().is_multiple_of(iatf_layout::LINE_BYTES);
+            // 16 f32 / 8 f64: one 512-bit group, so `b` starts on a group boundary
+            let group = 64 / core::mem::size_of::<R>();
+            let mut buf = PackBuffer::<R>::new();
+            // growth from empty, then twice more, the last past 128 KiB
+            for len in [group, 40 * group, 4096 * group] {
+                assert!(line(buf.get_mut(len)));
+                let (a, b) = buf.split_two(3 * group, len);
+                assert!(line(a) && line(b));
+            }
+            // a smaller view of a warm buffer, then growth again
+            assert!(line(buf.get_mut(group)));
+            let (a, b) = buf.split_two(group, 8192 * group);
+            assert!(line(a) && line(b));
+            // storage handed back to the arena and leased again
+            drop(buf);
+            for _ in 0..2 {
+                let mut lease = crate::arena::lease::<R>();
+                let (a, b) = lease.buffer().split_two(5 * group, 7 * group);
+                assert!(line(a) && line(b));
+            }
+        }
+        check::<f32>();
+        check::<f64>();
     }
 
     #[test]

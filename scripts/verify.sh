@@ -47,17 +47,19 @@ cargo test -q -p iatf-kernels
 cargo test -q -p iatf-pack
 cargo test -q -p iatf-layout
 
-echo "==> frozen benchmark: harness tests, a traced triangular replay, first touch"
+echo "==> frozen benchmark: harness tests, traced GEMM and triangular replays, first touch"
 # The benchmark's `--trace 1` replay drives the triangular operand
 # contract from its own sources (`iatf_pack::trsm::{a_layout, pack_a_tri}`
 # and the block kernels at `(rect_off, g, mb·g, tri_off)`), so a change to
 # that contract must keep its harness tests green and its replay correct.
+# The traced gemm_resident run replays the GEMM tile grid through
+# `pack_ptr_mut` over line-aligned batches.
 # The traced first_touch run drives the tuner and plan-cache entry points
 # from outside the workspace: ensure_tuned_{trsm,trmm},
 # cached_{trsm,trmm}_plan and held TrsmPlan/TrmmPlan executes.
 cargo test -q --manifest-path benchmark/Cargo.toml
 mkdir -p target
-for workload in tri_resident first_touch; do
+for workload in gemm_resident tri_resident first_touch; do
   cargo run -q --release --manifest-path benchmark/Cargo.toml -- \
     --workload $workload --seed 1 --seconds 2 --trace 1 > target/bench_${workload}_trace.txt
   grep -Eq '^verdict +correct' target/bench_${workload}_trace.txt \

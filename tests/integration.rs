@@ -325,3 +325,29 @@ fn in_place_kernels_never_read_outside_the_referenced_triangle() {
     check::<f64>(1e-9);
     check::<c32>(2e-3);
 }
+
+#[test]
+fn compact_storage_is_line_aligned() {
+    // Every batch starts on a cache line, so at the dispatched width no
+    // element-group load splits one. The 40×40 × 24 batch is past the
+    // allocator's 128 KiB threshold, where a plain `Vec` sits at page + 16.
+    fn check<E: iatf::CompactElement>() {
+        let line = |b: &CompactBatch<E>| b.as_scalars().as_ptr().addr().is_multiple_of(64);
+        let mut largest = 0;
+        for (n, count) in [(2usize, 3usize), (40, 24)] {
+            let a = CompactBatch::from_std(&StdBatch::<E>::random(n, n, count, 81));
+            let c = CompactBatch::<E>::zeroed(n, n, count);
+            assert!(
+                line(&a) && line(&c) && line(&a.clone()),
+                "{:?} n={n}",
+                E::DTYPE
+            );
+            largest = largest.max(std::mem::size_of_val(c.as_scalars()));
+        }
+        assert!(largest > 128 << 10);
+    }
+    check::<f32>();
+    check::<f64>();
+    check::<c32>();
+    check::<c64>();
+}
